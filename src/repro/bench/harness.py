@@ -76,14 +76,19 @@ __all__ = [
 #: prefetch parity flag) plus ``speedup_prefetch_k2_over_k1``; the
 #: ``snapshot-overhead`` row splits snapshot cost into serialize vs
 #: HDFS-transfer components with the flow-shop overlap saving.
-BENCH_E2E_SCHEMA = "bench-e2e/v6"
+#: v7: the in-cache per-key replay is gone, so the pressure scenario
+#: drops the three rows that ran it (scalar oracle, plan-or-replay
+#: emulation, prefetch oracle), the two speedups over them and every
+#: whole-batch-replay counter; the parity flags anchor on
+#: ``lockstep-planned`` / ``lockstep-prefetch``.
+BENCH_E2E_SCHEMA = "bench-e2e/v7"
 
 #: The memory-pressure e2e workload: cache capacity far below the hot key
 #: set, an LFU-heavy split so LFU→LRU promotion storms form an eviction
 #: frontier every round, and an LRU tier sized just above the pinned
 #: working set.  Under the pre-refactor plan-or-replay cache this
 #: workload degraded nearly every prepare to the per-key replay; the
-#: admission engine keeps it bulk-exact (``scalar_fallbacks == 0``).
+#: admission engine cuts it into collision-free bulk runs instead.
 PRESSURE_WORKLOAD = {
     "n_sparse": 25_000,
     "zipf_exponent": 1.15,
@@ -138,14 +143,10 @@ FAULTS_WORKLOAD = {
     },
 }
 
-#: BatchStats fields that intentionally differ between the bulk engine
-#: and its per-key oracles (pure observability counters).
+#: BatchStats fields that may differ between execution modes of one
+#: parity group (pure observability counters).
 _ADMISSION_COUNTER_FIELDS = frozenset(
-    {
-        "cache_admission_runs",
-        "cache_collision_splits",
-        "cache_scalar_fallbacks",
-    }
+    {"cache_admission_runs", "cache_collision_splits"}
 )
 
 
@@ -588,7 +589,6 @@ def _throughput_row(
         "keys_per_s": n_keys / elapsed if elapsed else 0.0,
         "examples_per_s": n_ex / elapsed if elapsed else 0.0,
         "stage_seconds": dict(wall),
-        "scalar_fallbacks": int(sum(s.cache_scalar_fallbacks for s in stats)),
         "collision_splits": int(
             sum(s.cache_collision_splits for s in stats)
         ),
@@ -605,8 +605,8 @@ def _throughput_row(
 def _sim_seconds_trace(stats) -> list[tuple]:
     """Every simulated BatchStats field, minus the admission counters.
 
-    The per-key oracles differ from the bulk engine only in those
-    counters; everything the simulation *prices* must be bit-identical.
+    Everything the simulation *prices* must be bit-identical across the
+    execution modes of one parity group.
     """
     import dataclasses
 
@@ -700,25 +700,24 @@ def _pressure_scenario(
     queue_capacity,
     seed: int,
 ) -> dict:
-    """Memory-pressure e2e: the admission engine vs the per-key oracles.
+    """Memory-pressure e2e: the bulk admission engine under eviction.
 
     Cache capacity sits far below the working set (``PRESSURE_WORKLOAD``)
     so every steady-state round drives promotion/eviction collisions.
-    Eight modes train on identical data from an identically warmed cache:
-    the full per-key replay (``force_scalar=True``, the seed parity
-    oracle), the pre-refactor plan-or-replay policy (``"legacy"``, the
-    pressure baseline the admission refactor is measured against), the
-    bulk admission engine in lockstep and pipelined execution, the
-    plan-driven prefetch pipeline (its own scalar-cache oracle plus
-    lockstep and pipelined bulk runs), and the depth-2 lookahead
-    pipeline (``prefetch_depth=2``, pipelined).  Parameters must be
-    bit-identical across all eight; simulated seconds form parity groups
-    — the non-prefetch four, the depth-1 prefetch three (prefetch
-    resolves the round's MEM working set in one pass, so its simulated
-    clock is a distinct but internally lockstep-exact mode), and the
-    depth-2 row as its own group (the window-delta resolve re-times the
-    prepare stage; the depth-sweep tests pin its lockstep/pipelined
-    agreement).  Every bulk mode must report zero scalar fallbacks.
+    Five modes train on identical data from an identically warmed cache:
+    the bulk admission engine in lockstep and pipelined execution, the
+    plan-driven prefetch pipeline in lockstep and pipelined execution,
+    and the depth-2 lookahead pipeline (``prefetch_depth=2``,
+    pipelined).  Parameters must be bit-identical across all five, with
+    ``lockstep-planned`` as the anchor; simulated seconds form parity
+    groups — the non-prefetch pair (anchored on ``lockstep-planned``),
+    the depth-1 prefetch pair (anchored on ``lockstep-prefetch``:
+    prefetch resolves the round's MEM working set in one pass, so its
+    simulated clock is a distinct but internally lockstep-exact mode),
+    and the depth-2 row as its own group (the window-delta resolve
+    re-times the prepare stage; the depth-sweep tests pin its
+    lockstep/pipelined agreement).  The per-key MEM oracle itself is
+    :mod:`repro.store.reference`, checked by the cache parity tests.
     """
     wl = PRESSURE_WORKLOAD
     spec = functional_model(n_sparse=wl["n_sparse"])
@@ -730,15 +729,13 @@ def _pressure_scenario(
     )
     warmup = wl["warmup_rounds"]
 
-    def measure(config, force_scalar, pipelined: bool):
+    def measure(config, pipelined: bool):
         cluster = HPSCluster(
             spec,
             config,
             functional_batch_size=wl["batch_size"],
             zipf_exponent=wl["zipf_exponent"],
         )
-        for node in cluster.nodes:
-            node.mem_ps.cache.force_scalar = force_scalar
         cluster.train(warmup)  # identical warm cache in every mode
         wall = _instrument_stages(cluster)
         t0 = time.perf_counter()
@@ -751,28 +748,21 @@ def _pressure_scenario(
         elapsed = time.perf_counter() - t0
         return cluster, stats, _throughput_row(stats, elapsed, wall, n_rounds)
 
-    oracle, oracle_stats, row_oracle = measure(cfg, True, False)
-    legacy, legacy_stats, row_legacy = measure(cfg, "legacy", False)
-    planned, planned_stats, row_planned = measure(cfg, False, False)
-    pipelined, pipelined_stats, row_pipelined = measure(cfg, False, True)
+    planned, planned_stats, row_planned = measure(cfg, False)
+    pipelined, pipelined_stats, row_pipelined = measure(cfg, True)
 
     cfg_pf = dataclasses.replace(cfg, prefetch=True)
-    pf_oracle, pf_oracle_stats, row_pf_oracle = measure(cfg_pf, True, False)
-    pf_lock, pf_lock_stats, row_pf_lock = measure(cfg_pf, False, False)
-    pf_piped, pf_piped_stats, row_pf_piped = measure(cfg_pf, False, True)
+    pf_lock, pf_lock_stats, row_pf_lock = measure(cfg_pf, False)
+    pf_piped, pf_piped_stats, row_pf_piped = measure(cfg_pf, True)
 
     cfg_k2 = dataclasses.replace(cfg_pf, prefetch_depth=2)
-    k2, k2_stats, row_k2 = measure(cfg_k2, False, True)
+    k2, k2_stats, row_k2 = measure(cfg_k2, True)
 
-    oracle_trace = _sim_seconds_trace(oracle_stats)
-    seconds_parity = all(
-        _sim_seconds_trace(s) == oracle_trace
-        for s in (legacy_stats, planned_stats, pipelined_stats)
+    seconds_parity = _sim_seconds_trace(pipelined_stats) == (
+        _sim_seconds_trace(planned_stats)
     )
-    pf_oracle_trace = _sim_seconds_trace(pf_oracle_stats)
-    prefetch_seconds_parity = all(
-        _sim_seconds_trace(s) == pf_oracle_trace
-        for s in (pf_lock_stats, pf_piped_stats)
+    prefetch_seconds_parity = _sim_seconds_trace(pf_piped_stats) == (
+        _sim_seconds_trace(pf_lock_stats)
     )
     return {
         "name": "pressure",
@@ -785,25 +775,12 @@ def _pressure_scenario(
             **wl,
         },
         "rows": [
-            {"mode": "lockstep-scalar-oracle", **row_oracle},
-            {"mode": "lockstep-legacy", **row_legacy},
             {"mode": "lockstep-planned", **row_planned},
             {"mode": "pipelined-planned", **row_pipelined},
-            {"mode": "lockstep-prefetch-oracle", **row_pf_oracle},
             {"mode": "lockstep-prefetch", **row_pf_lock},
             {"mode": "pipelined-prefetch", **row_pf_piped},
             {"mode": "pipelined-prefetch-k2", **row_k2},
         ],
-        "speedup_bulk_over_legacy": (
-            row_planned["rounds_per_s"] / row_legacy["rounds_per_s"]
-            if row_legacy["rounds_per_s"]
-            else 0.0
-        ),
-        "speedup_bulk_over_scalar": (
-            row_planned["rounds_per_s"] / row_oracle["rounds_per_s"]
-            if row_oracle["rounds_per_s"]
-            else 0.0
-        ),
         "speedup_prefetch_over_bulk": (
             row_pf_piped["rounds_per_s"] / row_planned["rounds_per_s"]
             if row_planned["rounds_per_s"]
@@ -814,16 +791,8 @@ def _pressure_scenario(
             if row_pf_piped["rounds_per_s"]
             else 0.0
         ),
-        "bulk_scalar_fallbacks": (
-            row_planned["scalar_fallbacks"]
-            + row_pipelined["scalar_fallbacks"]
-            + row_pf_lock["scalar_fallbacks"]
-            + row_pf_piped["scalar_fallbacks"]
-            + row_k2["scalar_fallbacks"]
-        ),
         "parameter_parity": _parameter_parity(
-            oracle,
-            (legacy, planned, pipelined, pf_oracle, pf_lock, pf_piped, k2),
+            planned, (pipelined, pf_lock, pf_piped, k2)
         ),
         "seconds_parity": bool(seconds_parity),
         "prefetch_seconds_parity": bool(prefetch_seconds_parity),
@@ -1113,12 +1082,9 @@ def run_e2e_throughput(
       claim every future PR is measured against.
     * **pressure** — the admission-engine and prefetch claims: cache
       capacity far below the working set (``PRESSURE_WORKLOAD``),
-      comparing the bulk admission engine against the per-key replay
-      oracle and the pre-refactor plan-or-replay baseline, plus the
-      plan-driven prefetch pipeline against its own scalar-cache
-      oracle; ``speedup_bulk_over_legacy`` and
-      ``speedup_prefetch_over_bulk`` are the pressure-regime perf
-      claims, and ``bulk_scalar_fallbacks`` must read zero.
+      running the bulk admission engine and the plan-driven prefetch
+      pipeline in lockstep and pipelined execution;
+      ``speedup_prefetch_over_bulk`` is the pressure-regime perf claim.
     * **recovery** — the delta-snapshot claims (``RECOVERY_WORKLOAD``):
       ``snapshot-overhead`` pits a pipelined run with the registered
       ``snapshot`` stage against a snapshot-free twin and reports the

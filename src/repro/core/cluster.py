@@ -276,14 +276,10 @@ class BatchStats:
     #: when workers are imbalanced.
     worker_critical_seconds: float = 0.0
     #: MEM-cache admission accounting, summed over nodes: bulk runs the
-    #: admission plan applied, single-key collision splits it cut at the
-    #: eviction frontier, and whole-batch per-key replays.  The last is
-    #: the pressure-regime acceptance gate: it reads zero in both
-    #: execution modes unless the ``REPRO_CACHE_ORACLE`` parity oracle is
-    #: forcing the seed path.
+    #: admission plan applied and single-key collision splits it cut at
+    #: the eviction frontier.
     cache_admission_runs: int = 0
     cache_collision_splits: int = 0
-    cache_scalar_fallbacks: int = 0
     #: seconds the dedicated prefetch stage spent resolving + loading
     #: the round's MEM working set (0 unless ``config.prefetch``); part
     #: of :attr:`pull_push_seconds`
@@ -362,7 +358,7 @@ class RoundContext:
     # per-round accounting snapshots (taken by the first cache-touching
     # stage, so they bracket correctly even if reads are prefetched)
     cache_stats_before: list[tuple[int, int]] = field(default_factory=list)
-    admission_before: list[tuple[int, int, int]] = field(default_factory=list)
+    admission_before: list[tuple[int, int]] = field(default_factory=list)
     compactions_before: int = 0
     extent_before: list[int] = field(default_factory=list)
     ssd_before: list[float] = field(default_factory=list)
@@ -1088,7 +1084,6 @@ class HPSCluster:
             - ctx.compactions_before,
             cache_admission_runs=sum(d[0] for d in adm_delta),
             cache_collision_splits=sum(d[1] for d in adm_delta),
-            cache_scalar_fallbacks=sum(d[2] for d in adm_delta),
             prefetch_seconds=ctx.prefetch_seconds,
             prefetch_depth_backoffs=sum(
                 n.mem_ps.take_depth_backoffs() for n in nodes
@@ -1148,25 +1143,32 @@ class HPSCluster:
         """
         self.check_stage_conflicts()
         base = self.rounds_completed
+        last = len(self._stage_defs) - 1
+        # Only rounds in flight keep their context (batches, plan, working
+        # sets); a round that finished its last stage keeps just its stats.
         ctxs: dict[int, RoundContext] = {}
+        stats: list[BatchStats] = []
 
-        def ctx_for(b: int) -> RoundContext:
+        def run_stage(b: int, i: int, fn: StageFn) -> float:
             if b not in ctxs:
                 ctxs[b] = RoundContext(round_index=base + b)
-            return ctxs[b]
+            seconds = fn(ctxs[b])
+            if i == last:
+                stats.append(ctxs.pop(b).stats)
+            return seconds
 
         stages = [
             StageDef(
                 spec.name,
-                lambda b, fn=spec.fn: fn(ctx_for(b)),
+                lambda b, i=i, fn=spec.fn: run_stage(b, i, fn),
                 reads=spec.reads,
                 writes=spec.writes,
             )
-            for spec in self._stage_defs
+            for i, spec in enumerate(self._stage_defs)
         ]
         engine = PipelinedEngine(stages, queue_capacity=queue_capacity)
         run = engine.run(n_rounds)
-        return PipelinedRun([ctxs[b].stats for b in range(n_rounds)], run)
+        return PipelinedRun(stats, run)
 
     # ------------------------------------------------------------------
     def _require_round_boundary(self, what: str) -> None:

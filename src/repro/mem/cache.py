@@ -28,11 +28,9 @@ duplicate boundaries from one stable sort, LFU-residency × overflow),
 each run applied with the existing dense slab ops and the eviction
 frontier recomputed only at run boundaries.  Collision positions
 themselves become single-key runs applied with the exact scalar op, so
-the scalar work is O(runs), not O(keys).  The seed per-key replay
-survives only as a debug/parity oracle: set the ``REPRO_CACHE_ORACLE=1``
-environment variable (or a cache's ``force_scalar`` attribute) to route
-every batch op through it; ``scalar_fallbacks`` counts those replays and
-reads zero on the bulk engine.
+the scalar work is O(runs), not O(keys).  The bulk engine is the only
+batch path; the per-key oracle it is checked against lives in
+:mod:`repro.store.reference`.
 
 :class:`LRUCache` and :class:`LFUCache` are also usable standalone — the
 cache-policy ablation benchmark compares them against the combined policy.
@@ -40,7 +38,6 @@ cache-policy ablation benchmark compares them against the combined policy.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +45,10 @@ import numpy as np
 from repro.store.slot_index import SlotIndex
 from repro.utils.keys import EMPTY_KEY, KEY_DTYPE, all_unique, as_keys, mix_hash
 
-__all__ = ["LRUCache", "LFUCache", "CombinedCache", "CacheStats", "ORACLE_ENV"]
+__all__ = ["LRUCache", "LFUCache", "CombinedCache", "CacheStats"]
 
 #: Order sentinel for free slots — sorts after every live tick/priority.
 _FAR = np.int64(2**62)
-
-#: Environment flag routing every batch op through the seed per-key
-#: replay (the parity oracle the admission engine is measured against).
-ORACLE_ENV = "REPRO_CACHE_ORACLE"
 
 
 def _full_i64(n: int, value) -> np.ndarray:
@@ -68,6 +61,17 @@ def _full_i64(n: int, value) -> np.ndarray:
     out = np.empty(n, dtype=np.int64)
     out.fill(value)
     return out
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """1-D view of a row-contiguous ``(n, dim)`` array, one opaque
+    element per row (always a view: writes through it land in ``a``).
+
+    NumPy gathers and scatters whole rows several times faster through
+    1-D indexing on an opaque dtype than through 2-D row or boolean-row
+    indexing; the bytes moved are identical.
+    """
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
 
 
 def _prev_occurrence(keys: np.ndarray) -> np.ndarray | None:
@@ -128,21 +132,20 @@ _PINNED_MSG = (
     "working set must fit in memory (paper Section 5)"
 )
 
+_RUN_MSG = "admission run has no bulk plan (admission planning bug)"
+
 
 @dataclass
 class CacheStats:
     """Hit/miss counters (drives the Fig. 4(c) reproduction) plus the
-    admission engine's accounting: ``admission_runs`` bulk runs applied,
-    ``collision_splits`` single-key runs forced by a collision with the
-    eviction frontier, and ``scalar_fallbacks`` whole-batch per-key
-    replays — zero on the bulk engine, nonzero only under the
-    :data:`ORACLE_ENV` parity oracle."""
+    admission engine's accounting: ``admission_runs`` bulk runs applied
+    and ``collision_splits`` single-key runs forced by a collision with
+    the eviction frontier."""
 
     hits: int = 0
     misses: int = 0
     admission_runs: int = 0
     collision_splits: int = 0
-    scalar_fallbacks: int = 0
 
     @property
     def accesses(self) -> int:
@@ -157,7 +160,6 @@ class CacheStats:
         self.misses = 0
         self.admission_runs = 0
         self.collision_splits = 0
-        self.scalar_fallbacks = 0
 
 
 def _empty_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,31 +200,10 @@ class _SlabCache:
         self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
         self._n_free = capacity
         self._now = 0
-        #: None → follow the :data:`ORACLE_ENV` environment flag; True
-        #: forces the seed per-key replay for every batch op (parity
-        #: oracle); ``"legacy"`` emulates the pre-admission-plan policy
-        #: (bulk only when one run covers the whole batch, else a
-        #: whole-batch per-key replay — the pressure-regime baseline the
-        #: e2e ledger measures the refactor against); False forces the
-        #: bulk admission engine.
-        self.force_scalar: bool | str | None = None
         #: standalone-tier admission accounting (the combined policy
-        #: tracks the same three counters on its :class:`CacheStats`).
+        #: tracks the same counters on its :class:`CacheStats`).
         self.admission_runs = 0
         self.collision_splits = 0
-        self.scalar_fallbacks = 0
-
-    def _admission_mode(self) -> str:
-        """``"bulk"`` | ``"scalar"`` | ``"legacy"`` (see ``force_scalar``)."""
-        mode = self.force_scalar
-        if mode is None:
-            env = os.environ.get(ORACLE_ENV, "")
-            return "scalar" if env == "1" else ("legacy" if env == "legacy" else "bulk")
-        if mode is True:
-            return "scalar"
-        if mode is False:
-            return "bulk"
-        return str(mode)
 
     def _bind_dim(self, dim: int) -> None:
         if dim <= 0:
@@ -239,7 +220,7 @@ class _SlabCache:
         return v
 
     def _coerce_values(self, keys: np.ndarray, values) -> np.ndarray:
-        v = np.asarray(values, dtype=np.float32)
+        v = np.ascontiguousarray(values, dtype=np.float32)
         if v.ndim != 2 or v.shape[0] != keys.size:
             raise ValueError("values shape mismatch")
         if self._values is None:
@@ -509,15 +490,6 @@ class LRUCache(_SlabCache):
         vals = self._coerce_values(keys, values)
         if keys.size == 0:
             return _empty_pairs(self._dim_or_zero())
-        mode = self._admission_mode()
-        if mode == "scalar":
-            self.scalar_fallbacks += 1
-            pairs = []
-            # Scalar-mode parity oracle replays the per-key reference
-            # policy on purpose.  # repro: allow(hot-loop)
-            for i in range(keys.size):
-                pairs.extend(self.put(int(keys[i]), vals[i], pin=pin))
-            return _as_pairs(pairs, self.value_dim)
         prev_dup = None if assume_unique else _prev_occurrence(keys)
         hashes = _batch_hashes(keys, self._index)
         ek_parts: list[np.ndarray] = []
@@ -534,13 +506,6 @@ class LRUCache(_SlabCache):
                 blocked=None,
                 allow_spill=True,
             )
-            if mode == "legacy" and (run < n or bound < n):
-                # Pre-refactor plan-or-replay: any cut → per-key replay.
-                self.scalar_fallbacks += 1
-                pairs = []
-                for i in range(n):
-                    pairs.extend(self.put(int(keys[i]), vals[i], pin=pin))
-                return _as_pairs(pairs, self.value_dim)
             if run == 0:
                 self.collision_splits += 1
                 pairs = self.put(int(keys[s]), vals[s], pin=pin)
@@ -559,7 +524,8 @@ class LRUCache(_SlabCache):
                 assume_unique=True,
                 order=order,
             )
-            assert plan is not None  # guaranteed by the run conditions
+            if plan is None:
+                raise RuntimeError(_RUN_MSG)
             ek, ev, _, _, _ = self._apply_put(
                 plan, None if h is None else h[:run], hints[:run]
             )
@@ -695,7 +661,7 @@ class LRUCache(_SlabCache):
         n = keys.size
         ev_keys = [self._keys[old_sel], keys[spill]]
         ev_vals = [
-            self._values[old_sel].copy()
+            np.take(self._values, old_sel, axis=0)
             if old_sel.size
             else np.zeros((0, self.value_dim), dtype=np.float32),
             vals[spill],
@@ -705,7 +671,7 @@ class LRUCache(_SlabCache):
         # Refresh already-resident batch keys in place.
         res_slots = slots[resident]
         if res_slots.size:
-            self._values[res_slots] = vals[resident]
+            _rows(self._values)[res_slots] = _rows(vals)[resident]
             self._tick[res_slots] = ticks[resident]
             if pin:
                 self._pinned[res_slots] = True
@@ -716,15 +682,18 @@ class LRUCache(_SlabCache):
             new_idx = new_idx[~np.isin(new_idx, spill)]
         rows = self._alloc(new_idx.size)
         if new_idx.size:
-            self._keys[rows] = keys[new_idx]
-            self._values[rows] = vals[new_idx]
-            self._tick[rows] = ticks[new_idx]
+            # An all-new batch (the common miss stream) needs no gathers.
+            sel = slice(None) if new_idx.size == n else new_idx
+            new_keys = keys[sel]
+            self._keys[rows] = new_keys
+            _rows(self._values)[rows] = _rows(vals)[sel]
+            self._tick[rows] = ticks[sel]
             self._pinned[rows] = pin
-            sub_hashes = hashes[new_idx] if hashes is not None else None
+            sub_hashes = hashes[sel] if hashes is not None else None
             if hints is not None:
-                self._index.install(keys[new_idx], rows, hints[new_idx], sub_hashes)
+                self._index.install(new_keys, rows, hints[sel], sub_hashes)
             else:
-                self._index.insert_absent(keys[new_idx], rows, sub_hashes)
+                self._index.insert_absent(new_keys, rows, sub_hashes)
         return (
             np.concatenate(ev_keys).astype(KEY_DTYPE),
             np.concatenate(ev_vals, axis=0),
@@ -846,19 +815,6 @@ class LFUCache(_SlabCache):
         if keys.size == 0:
             return values, np.zeros(0, dtype=bool)
         prev_dup = None if assume_unique else _prev_occurrence(keys)
-        has_dup = prev_dup is not None and bool((prev_dup >= 0).any())
-        mode = self._admission_mode()
-        if mode == "scalar" or (mode == "legacy" and has_dup):
-            self.scalar_fallbacks += 1
-            found = np.zeros(keys.size, dtype=bool)
-            # Per-key replay of the reference policy (parity oracle).
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                v = self.get(int(keys[i]))
-                if v is not None:
-                    values[i] = v
-                    found[i] = True
-            return values, found
         found = np.zeros(keys.size, dtype=bool)
         s, n = 0, keys.size
         while s < n:
@@ -896,22 +852,6 @@ class LFUCache(_SlabCache):
         if keys.size == 0:
             return _empty_pairs(self._dim_or_zero())
         prev_dup = None if assume_unique else _prev_occurrence(keys)
-        mode = self._admission_mode()
-        if mode == "scalar" or (
-            mode == "legacy"
-            and (
-                bool(self._index.get(keys)[1].any())
-                or (prev_dup is not None and bool((prev_dup >= 0).any()))
-            )
-        ):
-            # "legacy" replays whenever the pre-refactor policy would
-            # have: any resident overwrite or duplicate in the batch.
-            self.scalar_fallbacks += 1
-            pairs = []
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                pairs.extend(self.put(int(keys[i]), vals[i], freq=freq))
-            return _as_pairs(pairs, self.value_dim)
         ek_parts: list[np.ndarray] = []
         ev_parts: list[np.ndarray] = []
         s, n = 0, keys.size
@@ -1330,20 +1270,6 @@ class CombinedCache:
         return self._put_single(key, value, count, pin)
 
     # ------------------------------------------------------------------
-    @property
-    def force_scalar(self) -> bool | str | None:
-        """Per-instance oracle override (None → :data:`ORACLE_ENV`;
-        True → per-key replay, ``"legacy"`` → plan-or-replay)."""
-        return self.lru.force_scalar
-
-    @force_scalar.setter
-    def force_scalar(self, value: bool | str | None) -> None:
-        self.lru.force_scalar = value
-        self.lfu.force_scalar = value
-
-    def _admission_mode(self) -> str:
-        return self.lru._admission_mode()
-
     def get_batch(
         self, keys: np.ndarray, *, assume_unique: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1361,17 +1287,6 @@ class CombinedCache:
         hit = np.zeros(keys.size, dtype=bool)
         if keys.size == 0:
             return values, hit
-        mode = self._admission_mode()
-        if mode == "scalar":
-            self.stats.scalar_fallbacks += 1
-            # Per-key replay of the reference policy (parity oracle).
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                v = self.get(int(keys[i]))
-                if v is not None:
-                    values[i] = v
-                    hit[i] = True
-            return values, hit
         lru, lfu = self.lru, self.lfu
         prev_dup = None if assume_unique else _prev_occurrence(keys)
         hashes = _batch_hashes(keys, lru._index, lfu._index)
@@ -1388,15 +1303,6 @@ class CombinedCache:
                 blocked=None,
                 allow_spill=False,
             )
-            if mode == "legacy" and (run < n or bound < n):
-                # Pre-refactor plan-or-replay: any cut → per-key replay.
-                self.stats.scalar_fallbacks += 1
-                for i in range(n):
-                    v = self.get(int(keys[i]))
-                    if v is not None:
-                        values[i] = v
-                        hit[i] = True
-                return values, hit
             if run == 0:
                 self.stats.collision_splits += 1
                 v = self.get(int(keys[s]))
@@ -1446,8 +1352,9 @@ class CombinedCache:
         hit[...] = hit_run
         self.stats.hits += int(hit_run.sum())
         self.stats.misses += int((~hit_run).sum())
-        values[in_lru] = lru._values[lru_slots[in_lru]]
-        values[in_lfu] = lfu._values[lfu_slots[in_lfu]]
+        out = _rows(values)
+        out[in_lru] = _rows(lru._values)[lru_slots[in_lru]]
+        out[in_lfu] = _rows(lfu._values)[lfu_slots[in_lfu]]
         # Every hit consumes one recency tick, in batch order.
         ticks = lru._ticks(int(hit_run.sum()))
         tick_of = np.empty(keys.size, dtype=np.int64)
@@ -1483,7 +1390,11 @@ class CombinedCache:
                 # Every promotion freed an LFU row before any demotion
                 # needed one, so the demotions can never flush.
                 fk, _ = self.lfu.bulk_insert(ekeys, evals, efreqs)
-                assert fk.size == 0
+                if fk.size:
+                    raise RuntimeError(
+                        "promotion run flushed from the LFU tier "
+                        "(admission planning bug)"
+                    )
 
     def put_batch(
         self,
@@ -1508,20 +1419,11 @@ class CombinedCache:
         scalar :meth:`put` and the frontier recomputed for the next run.
         """
         keys = as_keys(keys)
-        vals = np.asarray(values, dtype=np.float32)
+        vals = np.ascontiguousarray(values, dtype=np.float32)
         if vals.shape != (keys.size, self.value_dim):
             raise ValueError("values shape mismatch")
         if keys.size == 0:
             return _empty_pairs(self.value_dim)
-        mode = self._admission_mode()
-        if mode == "scalar":
-            self.stats.scalar_fallbacks += 1
-            flushed = []
-            # Per-key replay of the reference policy (parity oracle).
-            # repro: allow(hot-loop)
-            for i in range(keys.size):
-                flushed.extend(self.put(int(keys[i]), vals[i], pin=pin))
-            return _as_pairs(flushed, self.value_dim)
         lru, lfu = self.lru, self.lfu
         if assume_absent:
             assume_unique = True
@@ -1546,13 +1448,6 @@ class CombinedCache:
                 blocked=in_lfu,
                 allow_spill=True,
             )
-            if mode == "legacy" and (run < n or bound < n):
-                # Pre-refactor plan-or-replay: any cut → per-key replay.
-                self.stats.scalar_fallbacks += 1
-                flushed = []
-                for i in range(n):
-                    flushed.extend(self.put(int(keys[i]), vals[i], pin=pin))
-                return _as_pairs(flushed, self.value_dim)
             if run == 0:
                 self.stats.collision_splits += 1
                 flushed = self.put(int(keys[s]), vals[s], pin=pin)
@@ -1603,7 +1498,8 @@ class CombinedCache:
         plan = lru._plan_put(
             keys, vals, pin, located=located, assume_unique=True, order=order
         )
-        assert plan is not None  # guaranteed by the run conditions
+        if plan is None:
+            raise RuntimeError(_RUN_MSG)
         _, _, _, lru_slots, resident, old_sel, _ = plan
         # Access counts, exactly as the per-key loop would assign them.
         counts = np.ones(keys.size, dtype=np.int64)
@@ -1686,10 +1582,8 @@ class CombinedCache:
         Returns ``(hit, rows)`` in input order; ``rows[i]`` is the LRU
         slab row of every resolved position (-1 for misses, installed
         later by ``put_batch``).  Returns ``(hit, None)`` — caller must
-        re-resolve through the index — in non-bulk admission modes (the
-        per-key oracle and the legacy policy replay the identical
-        ordered sequence through :meth:`get_batch`) or if a promotion
-        storm cuts the LFU segment.
+        re-resolve through the index — if a promotion storm cuts the LFU
+        segment.
 
         ``prev_keys``/``prev_rows`` (the previous round's resolved union)
         let consecutive unions share their overlap: a key still sitting
@@ -1703,15 +1597,6 @@ class CombinedCache:
         if n == 0:
             return hit, np.empty(0, dtype=np.int64)
         lru, lfu = self.lru, self.lfu
-        if self._admission_mode() != "bulk":
-            hashes = mix_hash(keys)
-            _, in_lru, _ = lru._index.locate(keys, hashes)
-            _, in_lfu = lfu._index.get(keys, hashes)
-            tier = np.where(in_lru, 0, np.where(in_lfu, 1, 2))
-            order = np.argsort(tier, kind="stable")
-            _, ordered_hit = self.get_batch(keys[order], assume_unique=True)
-            hit[order] = ordered_hit
-            return hit, None
         carried = np.zeros(n, dtype=bool)
         carried_rows = np.empty(0, dtype=np.int64)
         if (
@@ -1870,9 +1755,8 @@ class CombinedCache:
         located (and pinned) by an earlier round's
         :meth:`prefetch_resolve`, so serving them this round is recency
         ticks + access counts + hit statistics on known slots — exactly
-        segment 1 of the resolve, with zero index traffic.  Identical
-        under every admission mode (no admission work can arise on
-        pinned residents), so it cannot fork the parity oracles.
+        segment 1 of the resolve, with zero index traffic (no admission
+        work can arise on pinned residents).
         """
         n = rows.size
         if not n:
@@ -2016,31 +1900,36 @@ class CombinedCache:
             lfu_values.shape != (lfu_keys.size, self.value_dim)
         ):
             raise ValueError("cache snapshot value shape mismatch")
+        lru_counts = np.asarray(state["lru_counts"], dtype=np.int64)
+        lfu_freqs = np.asarray(state["lfu_freqs"], dtype=np.int64)
+        if lru_counts.shape != lru_keys.shape or lfu_freqs.shape != lfu_keys.shape:
+            raise ValueError("cache snapshot metadata shape mismatch")
         if lru_keys.size > self.lru.capacity or lfu_keys.size > self.lfu.capacity:
             raise ValueError(
                 "cache snapshot does not fit this cache's tier capacities"
             )
-        oracle = self.force_scalar
+        if not all_unique(np.concatenate([lru_keys, lfu_keys])):
+            raise ValueError(
+                "cache snapshot repeats a key (within a tier or across both)"
+            )
         self.lru = LRUCache(self.lru.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
         self.lfu = LFUCache(self.lfu.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
-        self.force_scalar = oracle
         self._counts = np.zeros(self.lru.capacity, dtype=np.int64)
         self._pending_flush = []
         # Oldest-first re-insertion assigns fresh ascending ticks, which
         # preserves every relative recency comparison the policy makes.
         if lfu_keys.size:
-            flushed = self.lfu.bulk_insert(
-                lfu_keys,
-                lfu_values,
-                np.asarray(state["lfu_freqs"], dtype=np.int64),
-            )
-            assert flushed[0].size == 0  # fits by the capacity check above
+            flush_k, _ = self.lfu.bulk_insert(lfu_keys, lfu_values, lfu_freqs)
+            if flush_k.size:
+                raise ValueError("cache snapshot overflows the LFU tier")
         if lru_keys.size:
-            flush_k, _ = self.lru.put_batch(lru_keys, lru_values)
-            assert flush_k.size == 0
+            flush_k, _ = self.lru.put_batch(
+                lru_keys, lru_values, assume_unique=True
+            )
             slots, found = self.lru._index.get(lru_keys)
-            assert bool(np.all(found))
-            self._counts[slots] = np.asarray(state["lru_counts"], dtype=np.int64)
+            if flush_k.size or not bool(np.all(found)):
+                raise ValueError("cache snapshot overflows the LRU tier")
+            self._counts[slots] = lru_counts
         self.stats.hits = int(state["hits"])
         self.stats.misses = int(state["misses"])
 
@@ -2175,9 +2064,7 @@ class CombinedCache:
                 [self.lru._values[lru_rows], self.lfu._values[lfu_rows]],
                 axis=0,
             ).copy()
-        oracle = self.force_scalar
         self.lru = LRUCache(self.lru.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
         self.lfu = LFUCache(self.lfu.capacity, value_dim=self.value_dim, key_domain=self.key_domain)
-        self.force_scalar = oracle
         self._counts = np.zeros(self.lru.capacity, dtype=np.int64)
         return keys, values

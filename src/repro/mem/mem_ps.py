@@ -150,25 +150,20 @@ class MemPS:
         return self.owner_of(keys) == self.node_id
 
     # ------------------------------------------------------------------
-    def _admission_snapshot(self) -> tuple[int, int, int]:
-        """(runs, collision splits, scalar fallbacks) counter snapshot."""
+    def _admission_snapshot(self) -> tuple[int, int]:
+        """(runs, collision splits) counter snapshot."""
         stats = getattr(self.cache, "stats", None)
         if stats is None or not hasattr(stats, "admission_runs"):
-            return (0, 0, 0)
-        return (
-            stats.admission_runs,
-            stats.collision_splits,
-            stats.scalar_fallbacks,
-        )
+            return (0, 0)
+        return (stats.admission_runs, stats.collision_splits)
 
-    def _admission_delta(self, before: tuple[int, int, int]):
+    def _admission_delta(self, before: tuple[int, int]):
         from repro.plan import AdmissionRecord
 
         after = self._admission_snapshot()
         return AdmissionRecord(
             n_runs=after[0] - before[0],
             n_collision_splits=after[1] - before[1],
-            n_scalar_fallbacks=after[2] - before[2],
         )
 
     # ------------------------------------------------------------------
@@ -329,8 +324,7 @@ class MemPS:
         # batch key the promotion storm reaches; ordered this way the
         # whole union applies in O(1) collision-free runs — and the
         # cache resolves it in a single probe pass, handing back the
-        # pinned rows directly.  The scalar oracle replays the identical
-        # sequence, so parity is untouched.  Consecutive rounds overlap
+        # pinned rows directly.  Consecutive rounds overlap
         # heavily under a zipf head, so the previous union's resolved
         # rows ride along: still-valid keys skip the probe entirely.
         prev_k, prev_r = self._prev_union

@@ -9,8 +9,9 @@ runs O(max probe length) rounds, never O(n_keys).
 Deletion uses tombstones (:data:`~repro.utils.keys.TOMBSTONE_KEY`); the
 table rehashes itself when live + dead slots crowd the array.  Single-key
 operations take a scalar fast path (plain-int probing over the same
-arrays) so per-key workloads — the cache-policy ablation, the legacy
-single-key cache API — do not pay 1-element array dispatch per access.
+arrays) so per-key workloads — the cache-policy ablation, the
+single-key cache API behind collision splits — do not pay 1-element
+array dispatch per access.
 """
 
 from __future__ import annotations
@@ -175,9 +176,18 @@ class SlotIndex:
             )
             return out, found, slots
         base = self._base(keys, hashes)
-        slots = np.full(n, -1, dtype=np.int64) if want_slots else None
-        pending = np.arange(n)
-        offset = np.uint64(0)
+        # First probe round over the whole batch: no pending gathers.
+        occupant = self._hkeys[base]
+        hit = occupant == keys
+        done = hit | (occupant == EMPTY_KEY)
+        out[hit] = self._hvals[base[hit]]
+        found[hit] = True
+        pending = np.flatnonzero(~done)
+        slots = None
+        if want_slots:
+            slots = base.astype(np.int64)
+            slots[pending] = -1
+        offset = np.uint64(1)
         while pending.size:
             s = (base[pending] + offset) & self._mask
             occupant = self._hkeys[s]
@@ -230,14 +240,17 @@ class SlotIndex:
         cand = np.flatnonzero(ok)
         winners = cand
         if cand.size:
-            fs = fslots[cand]
-            order = np.arange(cand.size, dtype=np.int64)
-            self._scratch[fs[::-1]] = order[::-1]
-            winners = cand[self._scratch[fs] == order]
-            self._scratch[fs] = -1
-            ws = fslots[winners]
-            self._hkeys[ws] = keys[winners]
-            self._hvals[ws] = payloads[winners]
+            if cand.size == n:
+                fs, ck = fslots, keys
+            else:
+                fs, ck = fslots[cand], keys[cand]
+            # Claim hints in reverse batch order, so a hint shared by
+            # several keys ends up holding its first claimant's key (the
+            # keys are unique, so reading the slot back names the winner).
+            self._hkeys[fs[::-1]] = ck[::-1]
+            won = self._hkeys[fs] == ck
+            winners = cand[won]
+            self._hvals[fs[won]] = payloads[winners]
             self.n_live += winners.size
         if winners.size != n:
             lost = np.ones(n, dtype=bool)
@@ -286,15 +299,15 @@ class SlotIndex:
             cand = np.flatnonzero(vacant)
             if cand.size:
                 fs = s[cand]
-                order = np.arange(cand.size, dtype=np.int64)
-                self._scratch[fs[::-1]] = order[::-1]
-                win = self._scratch[fs] == order
-                self._scratch[fs] = -1
+                ck = keys[pending[cand]]
+                was_dead = occupant[cand] == TOMBSTONE_KEY
+                # Reverse-order claim: a raced slot keeps its first
+                # claimant's key, and reading it back names the winner.
+                self._hkeys[fs[::-1]] = ck[::-1]
+                win = self._hkeys[fs] == ck
                 ws = fs[win]
-                self._n_dead -= int(np.sum(self._hkeys[ws] == TOMBSTONE_KEY))
-                widx = pending[cand[win]]
-                self._hkeys[ws] = keys[widx]
-                self._hvals[ws] = payloads[widx]
+                self._n_dead -= int(np.count_nonzero(was_dead[win]))
+                self._hvals[ws] = payloads[pending[cand[win]]]
                 self.n_live += ws.size
                 done = np.zeros(pending.size, dtype=bool)
                 done[cand[win]] = True

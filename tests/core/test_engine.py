@@ -1,5 +1,7 @@
 """Tests for the discrete-event pipelined executor (core/engine.py)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,27 @@ class TestClusterPipelined:
         assert len(cluster.history) == 3
         assert [s.round_index for s in run.stats] == [1, 2]
         assert cluster.history[1:] == run.stats
+
+    def test_finished_rounds_release_their_context(
+        self, tiny_spec, small_config
+    ):
+        """Only rounds in flight keep their RoundContext (batches, plan,
+        working sets); a round past its last stage keeps just its stats,
+        so a long pipelined call does not grow with its round count."""
+        cluster = HPSCluster(tiny_spec, small_config, functional_batch_size=256)
+        contexts: list[weakref.ref] = []
+        live: list[int] = []
+
+        def probe(ctx):
+            contexts.append(weakref.ref(ctx))
+            live.append(sum(ref() is not None for ref in contexts))
+            return 0.0
+
+        cluster.register_stage("probe", probe, after="train")
+        run = cluster.train_pipelined(12)
+        assert [s.round_index for s in run.stats] == list(range(12))
+        assert len(live) == 12
+        assert max(live) <= 2
 
     def test_queue_capacity_changes_schedule_not_params(
         self, tiny_spec, small_config

@@ -5,8 +5,9 @@ partition + peer-served partitions + owner-queue keys) in one cache
 pass before prepare, pins it for the round, and every later MEM access
 is a pure row gather.  Parameter values are cache-policy-independent,
 so prefetch mode must train **bit-identical parameters** to every other
-mode; simulated seconds form their own parity group (lockstep-prefetch,
-pipelined-prefetch, and the scalar-cache oracle must agree exactly).
+mode and to the single-store :class:`ReferenceTrainer`; simulated
+seconds form their own parity group (lockstep-prefetch and
+pipelined-prefetch must agree exactly).
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import HPSCluster
+from repro.core.trainer import ReferenceTrainer
 from repro.plan import build_round_plan
 
 N_ROUNDS = 16
@@ -179,27 +181,26 @@ class TestPrefetchParity:
         _assert_stats_parity(stats_lock, run.stats)
         _assert_param_parity(lock, piped)
 
-    def test_scalar_cache_oracle_matches_bulk_exactly(
+    def test_parameters_bit_identical_to_reference_trainer(
         self, tiny_spec, pressured_prefetch
     ):
-        bulk = _build(tiny_spec, pressured_prefetch)
-        oracle = _build(tiny_spec, pressured_prefetch)
-        for node in bulk.nodes:
-            node.mem_ps.cache.force_scalar = False
-        for node in oracle.nodes:
-            node.mem_ps.cache.force_scalar = True
-        stats_bulk = bulk.train(N_ROUNDS)
-        stats_oracle = oracle.train(N_ROUNDS)
-        for sb, so in zip(stats_bulk, stats_oracle):
-            for f in dataclasses.fields(sb):
-                if f.name.startswith("cache_"):
-                    continue  # admission counters differ by construction
-                assert getattr(sb, f.name) == getattr(so, f.name), f.name
-        _assert_param_parity(bulk, oracle)
-        # The bulk run never degraded to the per-key replay...
-        assert all(s.cache_scalar_fallbacks == 0 for s in stats_bulk)
-        # ...while the oracle replayed everything per key.
-        assert all(s.cache_scalar_fallbacks > 0 for s in stats_oracle)
+        """The pressured prefetch cluster (misses, evictions, SSD spill)
+        trains exactly what the plain single-store trainer trains."""
+        pf = _build(tiny_spec, pressured_prefetch)
+        ref = ReferenceTrainer(
+            tiny_spec, pressured_prefetch, functional_batch_size=192
+        )
+        stats = pf.train(N_ROUNDS)
+        ref.train(N_ROUNDS)
+        assert any(s.ssd_io_seconds > 0 for s in stats)
+        probe = _probe(pf)
+        assert np.array_equal(
+            pf.lookup_embeddings(probe), ref.embedding_of(probe)
+        )
+        for a, b in zip(
+            pf.nodes[0].model.dense_state(), ref.model.dense_state()
+        ):
+            assert np.array_equal(a, b)
 
     def test_prefetch_admission_stays_collision_free(
         self, tiny_spec, pressured_prefetch
@@ -208,10 +209,7 @@ class TestPrefetchParity:
         residents mixed with miss storms) must run collision-free: the
         LFU mixed-run planner handles the resident bumps in bulk."""
         pf = _build(tiny_spec, pressured_prefetch)
-        for node in pf.nodes:
-            node.mem_ps.cache.force_scalar = False
         stats = pf.train(N_ROUNDS)
-        assert all(s.cache_scalar_fallbacks == 0 for s in stats)
         assert all(s.cache_collision_splits == 0 for s in stats)
 
 
@@ -315,9 +313,6 @@ class TestDepthSweep:
             assert [s.mean_loss for s in stats_base] == [
                 s.mean_loss for s in stats_lock
             ]
-            # Zero bulk fallbacks at every depth, both modes.
-            assert all(s.cache_scalar_fallbacks == 0 for s in stats_lock)
-            assert all(s.cache_scalar_fallbacks == 0 for s in run.stats)
 
     def test_depth1_window_is_inert(self, tiny_spec, depth_cfg):
         """At the default depth the window machinery never engages:

@@ -6,19 +6,16 @@ duplicate keys inside one batch, pinned rows blocking the eviction
 frontier, and promotion/demotion storms.  Every trial drives the slab
 caches and the seed per-key reference (``repro.store.reference``) with
 an identical operation stream and asserts bit-identical contents,
-eviction order, flush pairs, and statistics.
-
-A third cache running with ``force_scalar=True`` (the in-tree per-key
-replay kept as the parity oracle) is spot-checked against the bulk
-engine on a subset of trials, pinning down that the oracle flag and the
-admission plan agree too.
+eviction order, flush pairs, and statistics.  ``items()`` is key-sorted,
+so every trial ends with a sweep of fresh keys that evicts every
+resident: its flush pairs are the residents in eviction order.
 """
 
 import numpy as np
 import pytest
 
 from repro.mem.cache import CombinedCache, LFUCache, LRUCache
-from repro.store.reference import DictCombinedCache
+from repro.store.reference import DictCombinedCache, DictLFUCache, DictLRUCache
 
 N_TRIALS = 220
 
@@ -94,6 +91,24 @@ def _drive(cache, ops):
     return trace
 
 
+def _sweep_keys(n: int, hotness: int, key_space: int) -> np.ndarray:
+    """``n`` fresh keys, each repeated ``hotness`` times in a row.
+
+    In the combined policy a key's access count travels with it into the
+    LFU tier, so once ``hotness`` exceeds every resident's count the
+    sweep's own keys are never the eviction minimum: a sweep as long as
+    the cache drains every prior resident, oldest/coldest first.
+    """
+    fresh = np.arange(key_space, key_space + n, dtype=np.uint64)
+    return np.repeat(fresh, hotness)
+
+
+def _pairs(pairs, dim: int = 2):
+    keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+    vals = np.array([v for _, v in pairs], dtype=np.float32)
+    return keys, vals.reshape(len(pairs), dim)
+
+
 def _assert_traces_equal(ta, tb, seed):
     assert len(ta) == len(tb)
     for i, (a, b) in enumerate(zip(ta, tb)):
@@ -119,64 +134,71 @@ def test_admission_matches_per_key_reference(trial):
     assert len(new) == len(old)
     assert new.stats.hits == old.stats.hits
     assert new.stats.misses == old.stats.misses
-    # The whole-batch per-key replay is dead: only bulk runs and
-    # single-key collision splits may have executed.
-    assert new.stats.scalar_fallbacks == 0
-    if trial % 10 == 0:
-        # Spot-check the env-flag oracle path against the bulk engine:
-        # export_state pins down eviction *order*, not just contents.
-        oracle = CombinedCache(capacity, lru_fraction=lru_fraction, value_dim=2)
-        oracle.force_scalar = True
-        _assert_traces_equal(_drive(oracle, ops), ref_trace, trial)
-        assert oracle.stats.scalar_fallbacks > 0
-        state_a, state_b = new.export_state(), oracle.export_state()
-        for field in state_a:
-            assert np.array_equal(state_a[field], state_b[field]), field
-        # ...and the "legacy" plan-or-replay emulation (the pre-refactor
-        # pressure baseline the e2e ledger measures against).
-        legacy = CombinedCache(capacity, lru_fraction=lru_fraction, value_dim=2)
-        legacy.force_scalar = "legacy"
-        _assert_traces_equal(_drive(legacy, ops), ref_trace, trial)
+    # Eviction order: the ops already end unpinned, so a cache-long
+    # sweep hotter than any resident flushes every resident in order.
+    hotness = 1 + max([*old._counts.values(), *old.lfu._freq.values(), 0])
+    sweep = _sweep_keys(capacity, hotness, key_space)
+    sweep_vals = rng.normal(size=(sweep.size, 2)).astype(np.float32)
+    residents = len(old)
+    flushed = old.put_batch(sweep, sweep_vals)
+    _flush_equal(new.put_batch(sweep, sweep_vals), flushed, f"trial {trial}")
+    assert flushed[0].size == residents
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_standalone_tiers_match_scalar_replay(seed):
-    """LRU and LFU batch admission vs their own per-key loops."""
+    """LRU and LFU batch admission vs the seed per-key tiers."""
     rng = np.random.default_rng(2000 + seed)
     capacity = int(rng.integers(4, 24))
     key_space = capacity * 4
 
     bulk_lru = LRUCache(capacity, value_dim=2)
-    ref_lru = LRUCache(capacity, value_dim=2)
-    ref_lru.force_scalar = True
+    ref_lru = DictLRUCache(capacity)
     bulk_lfu = LFUCache(capacity, value_dim=2)
-    ref_lfu = LFUCache(capacity, value_dim=2)
-    ref_lfu.force_scalar = True
+    ref_lfu = DictLFUCache(capacity)
+
+    def ref_put(cache, keys, vals, **kw):
+        pairs = []
+        for k, v in zip(keys.tolist(), vals):
+            pairs.extend(cache.put(k, v, **kw))
+        return _pairs(pairs)
+
     for _ in range(8):
         n = int(rng.integers(1, capacity * 2))
         keys = rng.integers(0, key_space, size=n).astype(np.uint64)
         vals = rng.normal(size=(n, 2)).astype(np.float32)
         if rng.random() < 0.25 and bulk_lru.size:
-            pin_key = rng.choice(np.asarray(bulk_lru.keys()))
+            pin_key = int(rng.choice(np.asarray(bulk_lru.keys())))
             bulk_lru.pin_batch(np.array([pin_key], dtype=np.uint64))
-            ref_lru.pin_batch(np.array([pin_key], dtype=np.uint64))
-        _flush_equal(
-            bulk_lru.put_batch(keys, vals), ref_lru.put_batch(keys, vals)
-        )
-        _flush_equal(
-            bulk_lfu.put_batch(keys, vals), ref_lfu.put_batch(keys, vals)
-        )
+            ref_lru.pin(pin_key)
+        for bulk, ref in ((bulk_lru, ref_lru), (bulk_lfu, ref_lfu)):
+            _flush_equal(bulk.put_batch(keys, vals), ref_put(ref, keys, vals))
         probe = rng.integers(0, key_space, size=n).astype(np.uint64)
         va, ha = bulk_lfu.get_batch(probe)
-        vb, hb = ref_lfu.get_batch(probe)
-        assert np.array_equal(ha, hb) and np.array_equal(va, vb)
+        vb = [ref_lfu.get(k) for k in probe.tolist()]
+        assert np.array_equal(ha, [v is not None for v in vb])
+        hits = [v for v in vb if v is not None]
+        assert np.array_equal(va[ha], np.reshape(hits, (-1, 2)))
         bulk_lru.unpin_batch(keys)
-        ref_lru.unpin_batch(keys)
+        for k in keys.tolist():
+            ref_lru.unpin(k)
     assert bulk_lru.keys() == ref_lru.keys()  # full recency order
-    assert bulk_lfu.keys() == ref_lfu.keys()
-    assert bulk_lru.scalar_fallbacks == 0
-    assert bulk_lfu.scalar_fallbacks == 0
-    assert ref_lru.scalar_fallbacks > 0
+    # Eviction order of both tiers: unpin everything, then sweep a
+    # cache-long run of fresh keys (hotter than any LFU resident).
+    bulk_lru.unpin_batch(np.asarray(bulk_lru.keys(), dtype=np.uint64))
+    for k in ref_lru.keys():
+        ref_lru.unpin(k)
+    sweep = np.arange(key_space, key_space + capacity, dtype=np.uint64)
+    sweep_vals = rng.normal(size=(capacity, 2)).astype(np.float32)
+    hot = 1 + max([*ref_lfu._freq.values(), 0])
+    for bulk, ref, kw in (
+        (bulk_lru, ref_lru, {}),
+        (bulk_lfu, ref_lfu, {"freq": hot}),
+    ):
+        residents = len(ref)
+        flushed = ref_put(ref, sweep, sweep_vals, **kw)
+        _flush_equal(bulk.put_batch(sweep, sweep_vals, **kw), flushed)
+        assert flushed[0].size == residents
 
 
 def test_collision_splits_are_exercised():
@@ -192,4 +214,3 @@ def test_collision_splits_are_exercised():
     _, hit = cache.get_batch(probe)
     assert hit.all()
     assert cache.stats.admission_runs + cache.stats.collision_splits > 1
-    assert cache.stats.scalar_fallbacks == 0

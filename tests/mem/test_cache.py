@@ -144,6 +144,30 @@ class TestCombined:
         assert got[0] == 0.0
         assert 0 in c.lru
 
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice"])
+    def test_batch_ops_accept_non_contiguous_values(self, layout):
+        """Row-strided or Fortran-ordered value arrays store and read
+        back exactly like their C-ordered copy."""
+        keys = np.arange(10, 30, dtype=np.uint64)
+        full = np.arange(20 * 6, dtype=np.float32).reshape(20, 6)
+        if layout == "fortran":
+            vals = np.asfortranarray(full[:, :3])
+        else:
+            vals = full[:, ::2]
+        for cls in (CombinedCache, LRUCache):
+            c = cls(16, value_dim=3)
+            ref = cls(16, value_dim=3)
+            c.put_batch(keys, vals)
+            ref.put_batch(keys, np.ascontiguousarray(vals))
+            ks, vs = c.items()
+            rks, rvs = ref.items()
+            assert np.array_equal(ks, rks)
+            assert np.array_equal(vs, rvs)
+            got, hit = c.get_batch(keys)
+            want, want_hit = ref.get_batch(keys)
+            assert np.array_equal(hit, want_hit)
+            assert np.array_equal(got, want)
+
     def test_stats_track_hits_and_misses(self):
         c = CombinedCache(4, value_dim=1)
         c.put(1, v(1))
@@ -299,3 +323,37 @@ class TestCombinedCacheSnapshot:
         small = CombinedCache(4, value_dim=2)
         with pytest.raises(ValueError, match="capacit"):
             small.load_state(cache.export_state())
+
+    def _malformed(self, **changes):
+        state = self._warmed().export_state()
+        assert state["lru_keys"].size >= 2 and state["lfu_keys"].size >= 1
+        for name, fn in changes.items():
+            state[name] = fn(state)
+        return state
+
+    def test_load_rejects_key_in_both_tiers(self):
+        def shared(state):
+            keys = state["lru_keys"].copy()
+            keys[0] = state["lfu_keys"][0]
+            return keys
+
+        cache = CombinedCache(16, lru_fraction=0.5, value_dim=2)
+        with pytest.raises(ValueError, match="repeats a key"):
+            cache.load_state(self._malformed(lru_keys=shared))
+
+    def test_load_rejects_duplicate_key_within_a_tier(self):
+        def dup(state):
+            keys = state["lru_keys"].copy()
+            keys[1] = keys[0]
+            return keys
+
+        cache = CombinedCache(16, lru_fraction=0.5, value_dim=2)
+        with pytest.raises(ValueError, match="repeats a key"):
+            cache.load_state(self._malformed(lru_keys=dup))
+
+    def test_load_rejects_misaligned_metadata(self):
+        cache = CombinedCache(16, lru_fraction=0.5, value_dim=2)
+        with pytest.raises(ValueError, match="metadata"):
+            cache.load_state(
+                self._malformed(lru_counts=lambda s: s["lru_counts"][:-1])
+            )

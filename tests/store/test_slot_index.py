@@ -141,3 +141,48 @@ def test_matches_python_dict(ops):
         assert len(idx) == len(model)
     ks, vs = idx.items()
     assert dict(zip(ks.tolist(), vs.tolist())) == model
+
+
+class TestBulkInsert:
+    """``install`` / ``insert_absent``: races for one slot go to the
+    earliest key in batch order, as in the upsert path."""
+
+    def _churned(self):
+        idx = SlotIndex(capacity_hint=64)
+        ks = np.arange(40, dtype=np.uint64)
+        idx.set(ks, np.arange(40))
+        idx.remove(ks[::3])
+        return idx
+
+    def test_insert_absent_matches_set_layout(self):
+        new = np.arange(100, 140, dtype=np.uint64)
+        bulk, upsert = self._churned(), self._churned()
+        bulk.insert_absent(new, np.arange(40))
+        upsert.set(new, np.arange(40))
+        assert np.array_equal(bulk._hkeys, upsert._hkeys)
+        assert np.array_equal(bulk._hvals, upsert._hvals)
+        assert (len(bulk), bulk._n_dead) == (len(upsert), upsert._n_dead)
+
+    def test_install_gives_a_shared_hint_to_the_first_key(self):
+        idx = self._churned()
+        # A batch of 18 absent keys in six triples, each triple sharing
+        # one insertion hint (small enough that install cannot grow).
+        pool = np.arange(100, 5_000, dtype=np.uint64)
+        _, _, pool_hints = idx.locate(pool)
+        groups: dict[int, list[int]] = {}
+        for key, slot in zip(pool.tolist(), pool_hints.tolist()):
+            groups.setdefault(slot, []).append(key)
+        triples = [g[:3] for g in groups.values() if len(g) >= 3][:6]
+        new = np.array([k for t in triples for k in t], dtype=np.uint64)
+        assert new.size == 18
+        _, found, hints = idx.locate(new)
+        assert not found.any()
+        idx.install(new, np.arange(18), hints)
+        for j, triple in enumerate(triples):
+            slot = int(hints[3 * j])
+            assert int(idx._hkeys[slot]) == triple[0]
+            assert int(idx._hvals[slot]) == 3 * j
+        vals, found = idx.get(new)
+        assert found.all()
+        assert np.array_equal(vals, np.arange(18))
+        assert len(idx) == 40 - 14 + 18

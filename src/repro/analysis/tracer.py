@@ -76,17 +76,18 @@ _CLASSIFY: dict[str, _Classification] = {
                 "_admission_snapshot",
                 "export_state",
                 "export_delta",
+                "delta_base",
             }
         ),
         neutral=frozenset({"partitioner"}),
         state_attrs=frozenset({"cache"}),
     ),
     "ssd": _Classification(
-        reads=frozenset({"export_state", "export_delta"}),
+        reads=frozenset({"export_state", "export_delta", "delta_base"}),
         state_attrs=frozenset({"store", "compactor"}),
     ),
     "hbm": _Classification(
-        reads=frozenset({"export_state", "export_delta"}),
+        reads=frozenset({"export_state", "export_delta", "delta_base"}),
         # .params / .nvlink expose partitioner + fabric config on the
         # read path; mutation goes through the HBMPS methods.
         neutral=frozenset({"partitioner", "params", "nvlink"}),

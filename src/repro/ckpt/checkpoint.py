@@ -21,6 +21,18 @@ snapshot bytes scale with the round's write set, not the model.  Restore
 walks the manifest chain (:func:`~repro.ckpt.format.resolve_chain`) —
 base first, deltas replayed in order.
 
+That record is lean: per node and tier it keeps only what the next diff
+reads (:meth:`~repro.core.node.HPSNode.delta_bases`) — the SSD store's
+id watermark, file ids and stale counters; the MEM cache's resident keys
+(sorted) with their values; nothing for HBM.  A full save and a
+restore read it from the live tiers; a delta save gets the next one
+from the same per-tier pass that produced the delta, so it never
+re-exports a tier and copies no SSD payload or mapping.  It does still
+build one id/stale-counter table over every live SSD file per save.
+The base's manifest link is the digest of the bytes the save committed
+(:func:`~repro.ckpt.format.write_manifest`); only the check that the
+*base* is still intact reads a manifest back.
+
 Partial restore (:func:`restore_node`): node shards are independent, so
 when one node dies at a round boundary where a snapshot exists, the
 surviving majority reloads *nothing* — a fresh replacement node loads
@@ -232,12 +244,18 @@ def _load_node_counters(node, arrays: dict[str, np.ndarray]) -> None:
     )
 
 
-def _record_base(cluster, directory: str, node_states: list[dict]) -> None:
-    """Remember the snapshot just committed as the next delta's base."""
+def _record_base(
+    cluster, directory: str, manifest_sha256: str, node_states: list[dict]
+) -> None:
+    """Remember the snapshot just committed as the next delta's base.
+
+    ``node_states`` holds each node's lean per-tier delta bases
+    (:meth:`~repro.core.node.HPSNode.delta_bases`), not full exports.
+    """
     cluster._ckpt_base = {
         "directory": os.path.abspath(directory),
         "rounds": cluster.rounds_completed,
-        "manifest_sha256": fmt.manifest_sha256(directory),
+        "manifest_sha256": manifest_sha256,
         "node_states": node_states,
     }
 
@@ -278,7 +296,7 @@ def save_cluster(cluster, directory: str) -> CheckpointStats:
         )
         shards[name] = digest
         node_bytes.append(nbytes)
-        node_states.append(tiers)
+        node_states.append(node.delta_bases())
 
     payload = _config_payload(cluster)
     manifest = {
@@ -290,8 +308,8 @@ def save_cluster(cluster, directory: str) -> CheckpointStats:
         "n_nodes": cluster.n_nodes,
         "shards": shards,
     }
-    manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory, node_states)
+    manifest_bytes, manifest_sha = fmt.write_manifest(directory, manifest)
+    _record_base(cluster, directory, manifest_sha, node_states)
 
     # Simulated cost: serialize/transfer flow shop over node shards —
     # shard n+1 serializes while shard n ships; node 0 additionally
@@ -338,9 +356,10 @@ def save_cluster_delta(
 ) -> CheckpointStats:
     """Materialize a delta snapshot chained to the previous snapshot.
 
-    The diff source is the cluster's in-memory base record (set by the
-    previous :func:`save_cluster` / :func:`save_cluster_delta` /
-    restore), so no disk reads are needed to diff.  ``directory`` must
+    The diff source is the cluster's in-memory lean base record (set by
+    the previous :func:`save_cluster` / :func:`save_cluster_delta` /
+    restore), so no disk reads are needed to diff; the next base comes
+    out of the same per-tier pass as the delta.  ``directory`` must
     be a *sibling* of the base (the manifest's ``base`` link is a
     directory name).  ``dirty_keys`` is an optional per-node list of
     key arrays — the union of keys each node's MEM tier wrote since the
@@ -389,8 +408,7 @@ def save_cluster_delta(
     node_bytes: list[int] = []
     node_states: list[dict] = []
     for node in cluster.nodes:
-        tiers = node.tier_states()  # current full state — the next base
-        deltas = node.tier_deltas(
+        deltas, next_base = node.tier_deltas(
             base["node_states"][node.node_id],
             dirty_keys=(
                 dirty_keys[node.node_id] if dirty_keys is not None else None
@@ -402,7 +420,7 @@ def save_cluster_delta(
         )
         shards[name] = digest
         node_bytes.append(nbytes)
-        node_states.append(tiers)
+        node_states.append(next_base)
 
     payload = _config_payload(cluster)
     manifest = {
@@ -416,8 +434,8 @@ def save_cluster_delta(
         "n_nodes": cluster.n_nodes,
         "shards": shards,
     }
-    manifest_bytes = fmt.write_manifest(directory, manifest)
-    _record_base(cluster, directory, node_states)
+    manifest_bytes, manifest_sha = fmt.write_manifest(directory, manifest)
+    _record_base(cluster, directory, manifest_sha, node_states)
 
     per_node, ser_s, xfer_s, makespan = _overlap_snapshot_cost(
         cluster, node_bytes, dense_bytes, manifest_bytes
@@ -595,7 +613,12 @@ def restore_cluster(
     )
     # The restored state *is* the newest snapshot — record it as the
     # next delta's base so a resumed run keeps chaining.
-    _record_base(cluster, newest_dir, [n.tier_states() for n in cluster.nodes])
+    _record_base(
+        cluster,
+        newest_dir,
+        fmt.manifest_sha256(newest_dir),
+        [n.delta_bases() for n in cluster.nodes],
+    )
     return cluster
 
 

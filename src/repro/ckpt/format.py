@@ -138,11 +138,13 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(directory: str, manifest: dict) -> int:
-    """Atomically commit ``manifest``; returns its size in bytes."""
+def write_manifest(directory: str, manifest: dict) -> tuple[int, str]:
+    """Atomically commit ``manifest``; returns its size in bytes and the
+    sha256 of the committed bytes (what :func:`manifest_sha256` reads
+    back)."""
     blob = json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
     atomic_write_bytes(os.path.join(directory, MANIFEST_NAME), blob)
-    return len(blob)
+    return len(blob), hashlib.sha256(blob).hexdigest()
 
 
 def invalidate(directory: str) -> None:

@@ -473,7 +473,9 @@ class HPSCluster:
         self.restore_stats = None
         #: In-memory record of the last committed snapshot — the diff
         #: source for delta checkpoints: ``{directory, rounds,
-        #: manifest_sha256, node_states}``.  Maintained by
+        #: manifest_sha256, node_states}``, where ``node_states`` holds
+        #: each node's lean per-tier delta bases
+        #: (:meth:`~repro.core.node.HPSNode.delta_bases`).  Maintained by
         #: :mod:`repro.ckpt.checkpoint`; None until a full save/restore.
         self._ckpt_base = None
         #: pre-wrap stage registry, held while :meth:`wrap_stages`
@@ -1383,12 +1385,11 @@ class HPSCluster:
             else:
                 dirty = None
                 if state["dirty_known"]:
+                    # A key set, not a sorted-unique array: the MEM diff
+                    # tests membership, so repeats across rounds are
+                    # harmless and need no dedup pass.
                     dirty = [
-                        (
-                            np.unique(np.concatenate(parts))
-                            if parts
-                            else as_keys([])
-                        )
+                        np.concatenate(parts) if parts else as_keys([])
                         for parts in state["dirty"]
                     ]
                 stats = self.save_checkpoint(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config import ClusterConfig, ModelSpec
 from repro.data.generator import CTRDataGenerator
 from repro.data.hdfs import HDFSStream
@@ -122,20 +124,35 @@ class HPSNode:
             "hbm": self.hbm_ps.export_state(),
         }
 
+    def delta_bases(self) -> dict[str, dict]:
+        """Per-tier delta bases (each tier's read-only ``delta_base``):
+        only what :meth:`tier_deltas` reads — MEM resident keys and
+        values, SSD file ids and stale counters, nothing for HBM."""
+        return {
+            "mem": self.mem_ps.delta_base(),
+            "ssd": self.ssd_ps.delta_base(),
+            "hbm": self.hbm_ps.delta_base(),
+        }
+
     def tier_deltas(
         self, base: dict[str, dict], *, dirty_keys: np.ndarray | None = None
-    ) -> dict[str, dict]:
-        """Per-tier diffs against a prior :meth:`tier_states` snapshot.
+    ) -> tuple[dict[str, dict], dict[str, dict]]:
+        """Per-tier diffs against prior :meth:`delta_bases`.
 
-        ``dirty_keys`` (optional) is the union of keys this node's MEM
-        tier wrote since the base — when provided, the cache diff selects
-        changed rows by membership instead of comparing value slabs.
+        Returns ``(deltas, next_bases)``: each tier's ``export_delta``
+        yields its next base from the same pass, so a delta save never
+        re-exports a tier.  ``dirty_keys`` (optional) is the union of
+        keys this node's MEM tier wrote since the base — when provided,
+        the cache diff selects changed rows by membership instead of
+        comparing value slabs.
         """
-        return {
-            "mem": self.mem_ps.export_delta(base["mem"], dirty_keys=dirty_keys),
-            "ssd": self.ssd_ps.export_delta(base["ssd"]),
-            "hbm": self.hbm_ps.export_delta(base["hbm"]),
-        }
+        mem = self.mem_ps.export_delta(base["mem"], dirty_keys=dirty_keys)
+        ssd = self.ssd_ps.export_delta(base["ssd"])
+        hbm = self.hbm_ps.export_delta(base["hbm"])
+        return (
+            {"mem": mem[0], "ssd": ssd[0], "hbm": hbm[0]},
+            {"mem": mem[1], "ssd": ssd[1], "hbm": hbm[1]},
+        )
 
     def load_tier_states(self, tiers: dict[str, dict]) -> None:
         """Restore every tier from a :meth:`tier_states` snapshot."""

@@ -359,10 +359,18 @@ class HBMPS:
         """Checkpoint hook: restore to the cleared (pre-round) state."""
         self.clear()
 
-    def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Delta hook: same quiescence contract as :meth:`export_state`."""
+    def delta_base(self) -> dict[str, np.ndarray]:
+        """Delta-base hook: the tier is transient, so a base is empty."""
         self._require_quiescent()
         return {}
+
+    def export_delta(
+        self, base: dict[str, np.ndarray]
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Delta hook: same quiescence contract as :meth:`export_state`;
+        ``(delta, next_base)`` are both empty."""
+        self._require_quiescent()
+        return {}, {}
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Delta hook: identical to a full load — the tier is transient."""

@@ -1868,15 +1868,7 @@ class CombinedCache:
         entries and parked promotion flush-outs belong to an in-flight
         batch and have no on-disk meaning.
         """
-        if self.lru.pinned_count():
-            raise RuntimeError(
-                "cannot snapshot a cache with pinned entries — finish the "
-                "in-flight batch first"
-            )
-        if self._pending_flush:
-            raise RuntimeError(
-                "cannot snapshot a cache with undrained pending flush-outs"
-            )
+        self._require_snapshot_boundary()
         lru_rows, lru_keys = self.lru._items_in_order(self.lru._tick)
         lfu_rows, lfu_keys = self.lfu._items_in_order(self.lfu._tick)
         return {
@@ -1933,29 +1925,7 @@ class CombinedCache:
         self.stats.hits = int(state["hits"])
         self.stats.misses = int(state["misses"])
 
-    def export_delta(
-        self,
-        base: dict[str, np.ndarray],
-        *,
-        dirty_keys: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Diff the cache against a prior :meth:`export_state` snapshot.
-
-        Replacement metadata (key order, access counts, frequencies)
-        changes on nearly every access and is cheap — a few int64 per
-        resident — so it ships in full.  The bulk of a snapshot is the
-        value slab (``value_dim`` float32 per row); the delta ships
-        values only for rows that are new since ``base`` or whose value
-        changed, recorded as positions into the shipped key arrays.
-
-        With ``dirty_keys`` (the caller's union of keys written since
-        the base — e.g. the plan's local partitions plus owner-queue
-        applications), changed rows are selected by membership instead
-        of comparing slabs.  Both modes treat a key's base value as
-        tier-independent: promotions move entries between LRU and LFU
-        with values intact, so a row that merely switched tiers ships
-        metadata only.
-        """
+    def _require_snapshot_boundary(self) -> None:
         if self.lru.pinned_count():
             raise RuntimeError(
                 "cannot snapshot a cache with pinned entries — finish the "
@@ -1965,58 +1935,109 @@ class CombinedCache:
             raise RuntimeError(
                 "cannot snapshot a cache with undrained pending flush-outs"
             )
-        base_keys = np.concatenate(
-            [as_keys(base["lru_keys"]), as_keys(base["lfu_keys"])]
-        )
-        base_values = np.concatenate(
-            [
-                np.asarray(base["lru_values"], dtype=np.float32),
-                np.asarray(base["lfu_values"], dtype=np.float32),
-            ],
-            axis=0,
-        )
-        order = np.argsort(base_keys)
-        base_keys, base_values = base_keys[order], base_values[order]
-        if dirty_keys is not None:
-            dirty_keys = np.unique(as_keys(dirty_keys))
 
-        def ship_mask(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-            pos = base_keys.searchsorted(keys)
-            pos_c = np.minimum(pos, max(0, base_keys.size - 1))
-            in_base = (
-                (base_keys[pos_c] == keys)
-                if base_keys.size
-                else np.zeros(keys.size, dtype=bool)
-            )
-            ship = ~in_base
-            if dirty_keys is not None:
-                ship |= np.isin(keys, dirty_keys)
-            else:
-                changed = np.zeros(keys.size, dtype=bool)
-                changed[in_base] = np.any(
-                    values[in_base] != base_values[pos_c[in_base]], axis=1
-                )
-                ship |= changed
-            return ship
-
+    def _resident(self) -> tuple:
+        """Every resident, LRU then LFU, each tier in replacement order:
+        ``(lru_rows, lfu_rows, keys, values, order)`` — the slab rows per
+        tier, their keys and values concatenated, and the permutation
+        that sorts ``keys``."""
         lru_rows, lru_keys = self.lru._items_in_order(self.lru._tick)
         lfu_rows, lfu_keys = self.lfu._items_in_order(self.lfu._tick)
-        lru_values = self.lru._values[lru_rows]
-        lfu_values = self.lfu._values[lfu_rows]
-        lru_ship = ship_mask(lru_keys, lru_values)
-        lfu_ship = ship_mask(lfu_keys, lfu_values)
-        return {
-            "lru_keys": lru_keys.astype(KEY_DTYPE),
-            "lru_counts": self._counts[lru_rows].copy(),
+        keys = np.concatenate([lru_keys, lfu_keys])
+        values = np.concatenate(
+            [self.lru._values[lru_rows], self.lfu._values[lfu_rows]], axis=0
+        )
+        return lru_rows, lfu_rows, keys, values, np.argsort(keys)
+
+    def delta_base(self) -> dict[str, np.ndarray]:
+        """The lean record :meth:`export_delta` diffs against.
+
+        Only the resident keys (sorted) and their values, aligned: the
+        replacement metadata ships in full with every delta, so a base
+        needs none of it.  Read-only; same boundary contract as
+        :meth:`export_state`.
+        """
+        self._require_snapshot_boundary()
+        _, _, keys, values, order = self._resident()
+        return {"keys": keys[order], "values": values[order]}
+
+    def export_delta(
+        self,
+        base: dict[str, np.ndarray],
+        *,
+        dirty_keys: np.ndarray | None = None,
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Diff the cache against a prior :meth:`delta_base` record.
+
+        Returns ``(delta, next_base)``: the delta, and the
+        :meth:`delta_base` of the current state, both taken from one
+        ordered gather of the slabs.
+
+        Replacement metadata (key order, access counts, frequencies)
+        changes on nearly every access and is cheap — a few int64 per
+        resident — so it ships in full.  The bulk of a snapshot is the
+        value slab (``value_dim`` float32 per row); the delta ships
+        values only for rows that are new since ``base`` or whose value
+        changed, recorded as positions into the shipped key arrays.
+
+        With ``dirty_keys`` (the caller's set of keys written since the
+        base — e.g. the plan's local partitions plus owner-queue
+        applications; repeats are harmless), changed rows are selected
+        by membership instead of comparing slabs.  Both modes treat a
+        key's base value as tier-independent: promotions move entries
+        between LRU and LFU with values intact, so a row that merely
+        switched tiers ships metadata only.
+        """
+        self._require_snapshot_boundary()
+        base_keys = as_keys(base["keys"])
+        base_values = np.asarray(base["values"], dtype=np.float32)
+        lru_rows, lfu_rows, keys, values, order = self._resident()
+        next_base = {"keys": keys[order], "values": values[order]}
+
+        # Membership is decided in key order, where each search is a
+        # sorted query (markedly cheaper than a random one) and the
+        # dirty keys need no sort of their own.  ``base_pos`` is each
+        # key's row in the base; only read where ``in_base`` holds.
+        sorted_keys = next_base["keys"]
+        base_pos = np.minimum(
+            base_keys.searchsorted(sorted_keys), max(0, base_keys.size - 1)
+        )
+        in_base = (
+            (base_keys[base_pos] == sorted_keys)
+            if base_keys.size
+            else np.zeros(keys.size, dtype=bool)
+        )
+        ship_sorted = ~in_base
+        if dirty_keys is not None:
+            if sorted_keys.size:
+                dirty_keys = as_keys(dirty_keys)
+                pos = np.minimum(
+                    sorted_keys.searchsorted(dirty_keys), sorted_keys.size - 1
+                )
+                ship_sorted[pos[sorted_keys[pos] == dirty_keys]] = True
+        else:
+            ship_sorted[in_base] = np.any(
+                next_base["values"][in_base] != base_values[base_pos[in_base]],
+                axis=1,
+            )
+        ship = np.empty_like(ship_sorted)
+        ship[order] = ship_sorted
+
+        n_lru = lru_rows.size
+        lru_ship, lfu_ship = ship[:n_lru], ship[n_lru:]
+        delta = {
+            "lru_keys": keys[:n_lru].astype(KEY_DTYPE),
+            "lru_counts": self._counts[lru_rows],
             "lru_val_idx": np.flatnonzero(lru_ship).astype(np.int64),
-            "lru_values": lru_values[lru_ship].copy(),
-            "lfu_keys": lfu_keys.astype(KEY_DTYPE),
-            "lfu_freqs": self.lfu._freq[lfu_rows].copy(),
+            "lru_values": values[:n_lru][lru_ship],
+            "lfu_keys": keys[n_lru:].astype(KEY_DTYPE),
+            "lfu_freqs": self.lfu._freq[lfu_rows],
             "lfu_val_idx": np.flatnonzero(lfu_ship).astype(np.int64),
-            "lfu_values": lfu_values[lfu_ship].copy(),
+            "lfu_values": values[n_lru:][lfu_ship],
             "hits": np.int64(self.stats.hits),
             "misses": np.int64(self.stats.misses),
         }
+        return delta, next_base
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state.

@@ -749,6 +749,13 @@ class MemPS:
         return self.ssd_ps.dump(fk, fv).total_seconds
 
     # ------------------------------------------------------------------
+    def _require_boundary(self) -> None:
+        if self._served_keys or self._prefetch_plan is not None:
+            raise RuntimeError(
+                "MEM-PS still holds in-flight pins — checkpoint only at "
+                "a round boundary (after end_batch)"
+            )
+
     def export_state(self) -> dict[str, np.ndarray]:
         """Snapshot the MEM tier for a checkpoint shard.
 
@@ -756,12 +763,15 @@ class MemPS:
         released by :meth:`end_batch`, otherwise the cache snapshot would
         capture in-flight working-set state that a restore cannot honour.
         """
-        if self._served_keys or self._prefetch_plan is not None:
-            raise RuntimeError(
-                "MEM-PS still holds in-flight pins — checkpoint only at "
-                "a round boundary (after end_batch)"
-            )
+        self._require_boundary()
         return self._with_window_unpinned(self.cache.export_state)
+
+    def delta_base(self) -> dict[str, np.ndarray]:
+        """The lean record :meth:`export_delta` diffs against
+        (:meth:`CombinedCache.delta_base`); read-only, same contract as
+        :meth:`export_state`."""
+        self._require_boundary()
+        return self._with_window_unpinned(self.cache.delta_base)
 
     def _with_window_unpinned(self, fn):
         """Run a cache snapshot with the window's pins lifted.
@@ -800,18 +810,14 @@ class MemPS:
         base: dict[str, np.ndarray],
         *,
         dirty_keys: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Diff the MEM tier against a prior :meth:`export_state`.
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Diff the MEM tier against a prior :meth:`delta_base`.
 
-        Same round-boundary contract as :meth:`export_state`; the heavy
-        lifting (full metadata, changed-values-only slab) happens in
-        :meth:`CombinedCache.export_delta`.
+        Returns ``(delta, next_base)`` from one pass over the cache
+        (:meth:`CombinedCache.export_delta`); same round-boundary
+        contract as :meth:`export_state`.
         """
-        if self._served_keys or self._prefetch_plan is not None:
-            raise RuntimeError(
-                "MEM-PS still holds in-flight pins — checkpoint only at "
-                "a round boundary (after end_batch)"
-            )
+        self._require_boundary()
         return self._with_window_unpinned(
             lambda: self.cache.export_delta(base, dirty_keys=dirty_keys)
         )

@@ -161,7 +161,13 @@ class FileStore:
     def _payload(self, f: ParameterFile) -> np.ndarray:
         if f.values is not None:
             return f.values
-        assert f.path is not None
+        if f.path is None:
+            raise PayloadLostError(
+                f"parameter file {f.file_id} has neither an in-memory "
+                "payload nor a payload path",
+                file_id=f.file_id,
+                keys=f.keys[self.mapping_of(f.keys) == f.file_id],
+            )
         return np.load(f.path)
 
     def _store_payload(self, f: ParameterFile, values: np.ndarray) -> None:
@@ -379,8 +385,30 @@ class FileStore:
             for k, v in self.extent_cache.export_tuning().items():
                 out[f"extent_tuning_{k}"] = v
 
-    def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Diff the store against a prior :meth:`export_state` snapshot.
+    def delta_base(self) -> dict[str, np.ndarray]:
+        """The lean record :meth:`export_delta` diffs against: the id
+        watermark and every file's id (ascending) and stale counter —
+        no payloads, no mapping.  Read-only."""
+        n = len(self._files)
+        ids = np.fromiter(self._files, dtype=np.int64, count=n)
+        stale = np.fromiter(
+            (f.stale_count for f in self._files.values()), dtype=np.int64, count=n
+        )
+        order = np.argsort(ids)
+        return {
+            "next_file_id": np.int64(self._next_file_id),
+            "file_ids": ids[order],
+            "file_stale": stale[order],
+        }
+
+    def export_delta(
+        self, base: dict[str, np.ndarray]
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Diff the store against a prior :meth:`delta_base` record.
+
+        Returns ``(delta, next_base)``: the delta, and the
+        :meth:`delta_base` of the current state, whose file table the
+        diff itself works on.
 
         Files are immutable and ids monotone, so the diff is exact and
         cheap: every file with ``id >= base["next_file_id"]`` is new (its
@@ -394,48 +422,46 @@ class FileStore:
         handful of ids).
         """
         watermark = int(base["next_file_id"])
-        new_fids = sorted(fid for fid in self._files if fid >= watermark)
-        keys_parts = [self._files[fid].keys for fid in new_fids]
-        vals_parts = [self._payload(self._files[fid]) for fid in new_fids]
-        offsets = np.zeros(len(new_fids) + 1, dtype=np.int64)
-        if new_fids:
+        next_base = self.delta_base()
+        ids, stale = next_base["file_ids"], next_base["file_stale"]
+        is_new = ids >= watermark
+        new_fids = ids[is_new]
+        keys_parts = [self._files[fid].keys for fid in new_fids.tolist()]
+        vals_parts = [self._payload(self._files[fid]) for fid in new_fids.tolist()]
+        offsets = np.zeros(new_fids.size + 1, dtype=np.int64)
+        if keys_parts:
             offsets[1:] = np.cumsum([k.size for k in keys_parts])
+        # Base files against the current table (ids ascending): absent
+        # ones were erased, present ones may carry a new stale counter.
         base_fids = np.asarray(base["file_ids"], dtype=np.int64)
         base_stale = np.asarray(base["file_stale"], dtype=np.int64)
-        erased = [
-            int(fid) for fid in base_fids.tolist() if fid not in self._files
-        ]
-        stale_ids, stale_counts = [], []
-        for fid, old_stale in zip(base_fids.tolist(), base_stale.tolist()):
-            f = self._files.get(int(fid))
-            if f is not None and f.stale_count != old_stale:
-                stale_ids.append(int(fid))
-                stale_counts.append(f.stale_count)
+        pos = ids.searchsorted(base_fids)
+        alive = pos < ids.size
+        alive[alive] = ids[pos[alive]] == base_fids[alive]
+        now_stale = stale[pos[alive]]
+        restaled = now_stale != base_stale[alive]
         if keys_parts:
             touched = np.unique(np.concatenate(keys_parts))
         else:
             touched = np.zeros(0, dtype=KEY_DTYPE)
         out = {
             "base_next_file_id": np.int64(watermark),
-            "file_ids": np.asarray(new_fids, dtype=np.int64),
+            "file_ids": new_fids,
             "file_offsets": offsets,
             "file_keys": (
                 np.concatenate(keys_parts)
-                if new_fids
+                if keys_parts
                 else np.zeros(0, dtype=KEY_DTYPE)
             ),
             "file_values": (
                 np.concatenate(vals_parts, axis=0)
-                if new_fids
+                if vals_parts
                 else np.zeros((0, self.value_dim), dtype=np.float32)
             ),
-            "file_stale": np.asarray(
-                [self._files[fid].stale_count for fid in new_fids],
-                dtype=np.int64,
-            ),
-            "erased_ids": np.asarray(erased, dtype=np.int64),
-            "stale_ids": np.asarray(stale_ids, dtype=np.int64),
-            "stale_counts": np.asarray(stale_counts, dtype=np.int64),
+            "file_stale": stale[is_new],
+            "erased_ids": base_fids[~alive],
+            "stale_ids": base_fids[alive][restaled],
+            "stale_counts": now_stale[restaled],
             "map_keys": touched,
             "map_fids": self.mapping_of(touched),
             "next_file_id": np.int64(self._next_file_id),
@@ -444,7 +470,7 @@ class FileStore:
             ),
         }
         self._export_extent_tuning(out)
-        return out
+        return out, next_base
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state.

@@ -200,19 +200,27 @@ class SSDPS:
         self.store.load_state(state)
         self._load_counters(state)
 
-    def export_delta(self, base: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Diff against a prior :meth:`export_state` snapshot.
+    def delta_base(self) -> dict[str, np.ndarray]:
+        """The lean record :meth:`export_delta` diffs against
+        (:meth:`FileStore.delta_base`); read-only."""
+        return self.store.delta_base()
+
+    def export_delta(
+        self, base: dict[str, np.ndarray]
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Diff against a prior :meth:`delta_base` record; returns
+        ``(delta, next_base)`` (:meth:`FileStore.export_delta`).
 
         The file store diffs exactly (immutable files, monotone ids);
         the facade's running counters are scalars, so they ship in full
         with every delta.
         """
-        out = self.store.export_delta(base)
+        out, next_base = self.store.export_delta(base)
         out["load_seconds"] = np.float64(self.load_seconds)
         out["dump_seconds"] = np.float64(self.dump_seconds)
         out["total_compactions"] = np.int64(self.compactor.total_compactions)
         out["extent_cache_hits"] = np.int64(self.extent_cache_hits)
-        return out
+        return out, next_base
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""

@@ -13,6 +13,7 @@ cluster.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -62,23 +63,24 @@ def assert_deep_state_parity(a: HPSCluster, b: HPSCluster) -> None:
 # Tier-level export_delta / load_delta round-trips
 # ----------------------------------------------------------------------
 class TestTierDeltaRoundTrip:
-    """base + export_delta(base) replayed onto base == current state,
-    for every tier that implements the protocol."""
+    """full + export_delta(delta_base()) replayed onto full == current
+    state, for every tier that implements the protocol."""
 
     @pytest.mark.parametrize("tier", ["mem_ps", "ssd_ps", "hbm_ps"])
     def test_round_trip(self, tiny_spec, pressured, tmp_path, tier):
         trained = build(tiny_spec, pressured)
         trained.train(7)
-        bases = [getattr(n, tier).export_state() for n in trained.nodes]
+        fulls = [getattr(n, tier).export_state() for n in trained.nodes]
+        bases = [getattr(n, tier).delta_base() for n in trained.nodes]
         trained.train(3)
 
         fresh = build(tiny_spec, pressured)
-        for node, fresh_node, base in zip(
-            trained.nodes, fresh.nodes, bases
+        for node, fresh_node, full, base in zip(
+            trained.nodes, fresh.nodes, fulls, bases
         ):
-            delta = getattr(node, tier).export_delta(base)
+            delta, _ = getattr(node, tier).export_delta(base)
             getattr(fresh_node, tier).load_state(
-                {k: v.copy() for k, v in base.items()}
+                {k: v.copy() for k, v in full.items()}
             )
             getattr(fresh_node, tier).load_delta(delta)
             want = getattr(node, tier).export_state()
@@ -92,9 +94,9 @@ class TestTierDeltaRoundTrip:
     ):
         trained = build(tiny_spec, pressured)
         trained.train(10)
-        base = trained.nodes[0].ssd_ps.export_state()
+        base = trained.nodes[0].ssd_ps.delta_base()
         trained.train(1)
-        delta = trained.nodes[0].ssd_ps.export_delta(base)
+        delta, _ = trained.nodes[0].ssd_ps.export_delta(base)
         full = trained.nodes[0].ssd_ps.export_state()
         delta_bytes = sum(v.nbytes for v in delta.values())
         full_bytes = sum(v.nbytes for v in full.values())
@@ -106,22 +108,247 @@ class TestTierDeltaRoundTrip:
         for node in trained.nodes:
             for tier in type(node).TIERS:
                 ps = {"mem": node.mem_ps, "ssd": node.ssd_ps, "hbm": node.hbm_ps}[tier]
-                base = ps.export_state()
-                delta = ps.export_delta(base)
+                full = ps.export_state()
+                delta, _ = ps.export_delta(ps.delta_base())
                 # Against itself a tier ships (at most) fixed-size
                 # bookkeeping, never value payload of the full state.
-                base_bytes = sum(v.nbytes for v in base.values())
+                full_bytes = sum(v.nbytes for v in full.values())
                 delta_bytes = sum(v.nbytes for v in delta.values())
-                if base_bytes:
-                    assert delta_bytes < base_bytes, tier
+                if full_bytes:
+                    assert delta_bytes < full_bytes, tier
                 else:
                     # An empty tier (HBM is unloaded between rounds)
                     # must not invent payload out of nothing.
                     assert delta_bytes == 0, tier
                 ps.load_delta(delta)  # and replaying it is the identity
                 after = ps.export_state()
-                for key in base:
-                    assert np.array_equal(base[key], after[key]), (tier, key)
+                for key in full:
+                    assert np.array_equal(full[key], after[key]), (tier, key)
+
+
+def _files_of(state: dict) -> dict[int, tuple]:
+    """``{file id: (keys, values, stale)}`` of a full SSD export."""
+    off = state["file_offsets"]
+    return {
+        int(fid): (
+            state["file_keys"][off[i] : off[i + 1]],
+            state["file_values"][off[i] : off[i + 1]],
+            int(state["file_stale"][i]),
+        )
+        for i, fid in enumerate(state["file_ids"])
+    }
+
+
+def expected_ssd_delta(s0: dict, s1: dict) -> dict:
+    """The SSD delta between two full exports, by plain set logic."""
+    files0, files1 = _files_of(s0), _files_of(s1)
+    new = sorted(f for f in files1 if f >= int(s0["next_file_id"]))
+    kept = sorted(set(files0) & set(files1))
+    restaled = [f for f in kept if files1[f][2] != files0[f][2]]
+    offsets = np.cumsum([0] + [files1[f][0].size for f in new], dtype=np.int64)
+    keys = [files1[f][0] for f in new] or [np.zeros(0, np.uint64)]
+    values = [files1[f][1] for f in new] or [s1["file_values"][:0]]
+    mapping = dict(zip(s1["map_keys"].tolist(), s1["map_fids"].tolist()))
+    touched = sorted({k for f in new for k in files1[f][0].tolist()})
+    out = dict(s1)  # counters and extent-cache residency ship in full
+    out.update(
+        base_next_file_id=s0["next_file_id"],
+        file_ids=np.asarray(new, dtype=np.int64),
+        file_offsets=offsets,
+        file_keys=np.concatenate(keys),
+        file_values=np.concatenate(values),
+        file_stale=np.asarray([files1[f][2] for f in new], dtype=np.int64),
+        erased_ids=np.asarray(sorted(set(files0) - set(files1)), dtype=np.int64),
+        stale_ids=np.asarray(restaled, dtype=np.int64),
+        stale_counts=np.asarray([files1[f][2] for f in restaled], dtype=np.int64),
+        map_keys=np.asarray(touched, dtype=np.uint64),
+        map_fids=np.asarray([mapping[k] for k in touched], dtype=np.int64),
+    )
+    return out
+
+
+def expected_mem_delta(s0: dict, s1: dict, dirty=None) -> dict:
+    """The MEM delta between two full exports, by plain set logic: ship
+    a row's value iff its key is new since ``s0`` or (value-diff mode)
+    its value changed / (dirty mode) the key is dirty."""
+    base = {}
+    for tier in ("lru", "lfu"):
+        for k, v in zip(s0[f"{tier}_keys"].tolist(), s0[f"{tier}_values"]):
+            base[k] = v
+    dirty_set = None if dirty is None else set(np.asarray(dirty).tolist())
+    out = {"hits": s1["hits"], "misses": s1["misses"]}
+    for tier, meta in (("lru", "lru_counts"), ("lfu", "lfu_freqs")):
+        keys, values = s1[f"{tier}_keys"], s1[f"{tier}_values"]
+        idx = [
+            i
+            for i, k in enumerate(keys.tolist())
+            if k not in base
+            or (
+                k in dirty_set
+                if dirty_set is not None
+                else bool(np.any(values[i] != base[k]))
+            )
+        ]
+        out[f"{tier}_keys"] = keys
+        out[meta] = s1[meta]
+        out[f"{tier}_val_idx"] = np.asarray(idx, dtype=np.int64)
+        out[f"{tier}_values"] = values[idx]
+    return out
+
+
+def assert_same_arrays(want: dict, got: dict, what: str) -> None:
+    assert set(want) == set(got), what
+    for key in want:
+        w, g = np.asarray(want[key]), np.asarray(got[key])
+        assert w.dtype == g.dtype, (what, key, w.dtype, g.dtype)
+        assert w.shape == g.shape, (what, key)
+        assert np.array_equal(w, g), (what, key)
+
+
+class TestLeanDiffIsTheSameDiff:
+    """``export_delta(delta_base())`` equals the diff of two full
+    exports computed with plain set logic, array for array, on a
+    cluster whose window spills to SSD and compacts."""
+
+    @pytest.fixture
+    def compacting(self, tiny_spec, pressured):
+        # Small files and an eager compactor: compaction starts around
+        # round 11, inside the window below.
+        config = dataclasses.replace(
+            pressured,
+            ssd_file_capacity=32,
+            compaction_threshold=1.0,
+            compaction_stale_fraction=0.2,
+        )
+        cluster = build(tiny_spec, config)
+        cluster.train(8)
+        return cluster
+
+    def _window(self, cluster, rounds=6):
+        nodes = cluster.nodes
+        full0 = [n.tier_states() for n in nodes]
+        lean0 = [n.delta_bases() for n in nodes]
+        compactions0 = [n.ssd_ps.compactor.total_compactions for n in nodes]
+        collected = [[] for _ in nodes]
+
+        def collect(ctx) -> float:
+            for i in range(cluster.n_nodes):
+                collected[i].append(ctx.plan.dirty_keys_of(i))
+            return 0.0
+
+        cluster.register_stage("collect", collect, after="train")
+        cluster.train(rounds)
+        cluster.unregister_stage("collect")
+        full1 = [n.tier_states() for n in nodes]
+        # The window exercised every SSD diff branch.
+        assert any(
+            n.ssd_ps.compactor.total_compactions > c
+            for n, c in zip(nodes, compactions0)
+        ), "window did not compact"
+        return full0, lean0, full1, [np.concatenate(p) for p in collected]
+
+    def test_ssd_delta_matches_set_logic(self, compacting):
+        full0, lean0, full1, _ = self._window(compacting)
+        erased = 0
+        for node, f0, b0, f1 in zip(compacting.nodes, full0, lean0, full1):
+            want = expected_ssd_delta(f0["ssd"], f1["ssd"])
+            got, next_base = node.ssd_ps.export_delta(b0["ssd"])
+            assert_same_arrays(want, got, f"ssd node {node.node_id}")
+            assert_same_arrays(
+                node.ssd_ps.delta_base(), next_base, "ssd next base"
+            )
+            erased += got["erased_ids"].size
+            assert got["stale_ids"].size
+        assert erased, "no file erased between the exports"
+
+    @pytest.mark.parametrize("mode", ["dirty_keys", "value_diff"])
+    def test_mem_delta_matches_set_logic(self, compacting, mode):
+        full0, lean0, full1, dirty = self._window(compacting)
+        for node, f0, b0, f1, d in zip(
+            compacting.nodes, full0, lean0, full1, dirty
+        ):
+            if mode == "dirty_keys":
+                # Repeats and keys that are not resident are harmless.
+                d = np.concatenate([d, d[:7], np.arange(5, dtype=np.uint64)])
+                want = expected_mem_delta(f0["mem"], f1["mem"], dirty=d)
+                got, next_base = node.mem_ps.export_delta(
+                    b0["mem"], dirty_keys=d
+                )
+            else:
+                want = expected_mem_delta(f0["mem"], f1["mem"])
+                got, next_base = node.mem_ps.export_delta(b0["mem"])
+            assert_same_arrays(want, got, f"mem node {node.node_id}")
+            assert want["lru_val_idx"].size + want["lfu_val_idx"].size
+            # The next base comes out of the same pass and equals a
+            # fresh read of the current state.
+            assert_same_arrays(
+                node.mem_ps.delta_base(), next_base, "mem next base"
+            )
+
+
+class TestNoFullReexportOnDeltaPath:
+    def test_saves_record_the_digest_they_wrote(
+        self, tiny_spec, pressured, tmp_path, monkeypatch
+    ):
+        """A save takes its base link from the manifest bytes it just
+        committed; only the delta's check of its *base* reads a
+        manifest back from disk."""
+        reads = []
+        real = fmt.manifest_sha256
+
+        def counting(directory):
+            reads.append(os.path.basename(directory))
+            return real(directory)
+
+        monkeypatch.setattr(fmt, "manifest_sha256", counting)
+        cluster = build(tiny_spec, pressured)
+        cluster.train(2)
+        cluster.save_checkpoint(str(tmp_path / "s0"), mode="full")
+        assert reads == []
+        cluster.train(1)
+        cluster.save_checkpoint(str(tmp_path / "s1"), mode="delta")
+        assert reads == ["s0"]
+        assert cluster._ckpt_base["manifest_sha256"] == real(
+            str(tmp_path / "s1")
+        )
+
+    def test_snapshot_window_never_calls_export_state(
+        self, tiny_spec, pressured, tmp_path, monkeypatch
+    ):
+        """After the first (full) save, a snapshot-stage window diffs
+        against the lean base only: a full MEM or SSD export anywhere
+        on the delta path fails the run."""
+        from repro.mem.mem_ps import MemPS
+        from repro.ssd.ssd_ps import SSDPS
+
+        cluster = build(tiny_spec, pressured)
+        stage = cluster.enable_snapshot_stage(str(tmp_path / "snaps"))
+        cluster.train(2)
+        assert [s.kind for s in stage.history] == ["full", "delta"]
+
+        def refuse(self):
+            raise AssertionError("full export on the delta path")
+
+        monkeypatch.setattr(SSDPS, "export_state", refuse)
+        monkeypatch.setattr(MemPS, "export_state", refuse)
+        cluster.train_pipelined(6)
+        monkeypatch.undo()
+        assert [s.kind for s in stage.history] == ["full"] + ["delta"] * 7
+        assert sum(n.ssd_ps.store.n_files for n in cluster.nodes)
+
+        base = cluster._ckpt_base
+        for node_base in base["node_states"]:
+            assert set(node_base["ssd"]) == {
+                "next_file_id", "file_ids", "file_stale"
+            }
+            assert set(node_base["mem"]) == {"keys", "values"}
+            assert node_base["hbm"] == {}
+        # ...and the chain it wrote still restores bit-identically.
+        twin = build(tiny_spec, pressured)
+        twin.train(8)
+        restored = HPSCluster.restore(base["directory"])
+        assert_cluster_parity(twin, restored)
+        assert_deep_state_parity(twin, restored)
 
 
 # ----------------------------------------------------------------------

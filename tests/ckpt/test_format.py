@@ -14,6 +14,7 @@ from repro.ckpt.format import (
     atomic_write_bytes,
     fingerprint,
     latest_checkpoint,
+    manifest_sha256,
     read_manifest,
     write_manifest,
 )
@@ -48,6 +49,13 @@ def test_write_manifest_is_atomic_and_round_trips(tmp_path):
     write_manifest(str(tmp_path), manifest)
     assert read_manifest(str(tmp_path)) == manifest
     assert os.listdir(tmp_path) == [MANIFEST_NAME]  # no temp debris
+
+
+def test_write_manifest_returns_digest_of_committed_bytes(tmp_path):
+    manifest = {"format_version": FORMAT_VERSION, "rounds_completed": 3}
+    nbytes, digest = write_manifest(str(tmp_path), manifest)
+    assert nbytes == (tmp_path / MANIFEST_NAME).stat().st_size
+    assert digest == manifest_sha256(str(tmp_path))
 
 
 def test_atomic_write_cleans_up_on_failure(tmp_path, monkeypatch):

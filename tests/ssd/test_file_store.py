@@ -227,6 +227,21 @@ class TestCrashConsistency:
         # The file stays registered so the loss remains observable.
         assert fid in store._files
 
+    def test_payloadless_file_raises_typed_error(self):
+        """A file with neither in-memory rows nor a payload path is lost
+        data: reading it raises ``PayloadLostError`` naming the file and
+        its live keys (a typed error, so it survives ``python -O``)."""
+        from repro.faults.errors import PayloadLostError
+
+        store = FileStore(1, file_capacity=4)
+        _, (fid,) = store.write(keys_of([1, 2, 3]), np.ones((3, 1), np.float32))
+        store.write(keys_of([3]), np.zeros((1, 1), np.float32))
+        store._files[fid].values = None
+        with pytest.raises(PayloadLostError, match="neither") as exc:
+            store.read(keys_of([1]))
+        assert exc.value.file_id == fid
+        assert exc.value.keys.tolist() == [1, 2]
+
     def test_erase_memory_backend_unaffected(self):
         store = FileStore(1, file_capacity=4)
         _, (fid,) = store.write(keys_of([1]), np.ones((1, 1), np.float32))

@@ -98,8 +98,6 @@ def test_e2e_throughput(benchmark):
         f"planned-over-unplanned: "
         f"{default['speedup_planned_over_unplanned']:.2f}x, "
         f"pressure prefetch-over-bulk: {pressure['speedup_prefetch_over_bulk']:.2f}x, "
-        f"depth2-over-depth1: "
-        f"{pressure['speedup_prefetch_k2_over_k1']:.2f}x, "
         f"full-over-delta bytes: "
         f"{recovery['bytes_ratio_full_over_delta']:.2f}x"
     )

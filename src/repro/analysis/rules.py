@@ -25,6 +25,9 @@ rule id          invariant
                  catches bare ``Exception``/``RuntimeError`` — the
                  supervisor's recovery classification depends on every
                  failure carrying a typed ``FaultError`` scope
+``no-assert``    library code (``src/``) states its invariants as
+                 explicit raises, never bare ``assert`` — ``python -O``
+                 strips asserts, silently disabling the check
 ===============  ======================================================
 
 Every escape is an in-source ``# repro: allow(<rule>)`` with the
@@ -45,6 +48,7 @@ __all__ = [
     "SimTimeRule",
     "Float64HotPathRule",
     "TypedFaultsRule",
+    "NoAssertRule",
     "DEFAULT_RULES",
 ]
 
@@ -426,6 +430,33 @@ class TypedFaultsRule:
                         )
 
 
+class NoAssertRule:
+    """Library invariants are typed raises, not ``assert``."""
+
+    id = "no-assert"
+    title = "src/ states invariants as explicit raises, not assert"
+    rationale = (
+        "`python -O` strips assert statements, so an invariant written "
+        "as a bare assert silently stops being checked in optimized "
+        "runs.  Library code raises a typed error (RuntimeError for a "
+        "broken internal invariant, ValueError for bad input) with a "
+        "message naming what diverged.  Tests keep using assert."
+    )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.split("/")[0] == "src"
+
+    def check(self, module: ModuleSource) -> Iterator[RawFinding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assert):
+                yield RawFinding(
+                    node.lineno,
+                    "bare `assert` in library code vanishes under "
+                    "`python -O`; raise a RuntimeError/ValueError with "
+                    "a message instead",
+                )
+
+
 DEFAULT_RULES = (
     HotLoopRule(),
     AtomicWriteRule(),
@@ -433,4 +464,5 @@ DEFAULT_RULES = (
     SimTimeRule(),
     Float64HotPathRule(),
     TypedFaultsRule(),
+    NoAssertRule(),
 )

@@ -70,7 +70,7 @@ __all__ = [
 #: retry overhead, and bytes re-read.  Like the recovery rows these are
 #: simulated-seconds based (deterministic, no wall-clock fields).
 #: v6: throughput rows gain the depth-k observability counters
-#: (``prefetch_depth_backoffs`` / ``extent_cache_resizes``); the
+#: (window backoffs and extent-cache resizes); the
 #: pressure scenario adds the ``pipelined-prefetch-k2`` depth-2
 #: lookahead row (its own sim-clock group, excluded from the depth-1
 #: prefetch parity flag) plus ``speedup_prefetch_k2_over_k1``; the
@@ -81,7 +81,11 @@ __all__ = [
 #: emulation, prefetch oracle), the two speedups over them and every
 #: whole-batch-replay counter; the parity flags anchor on
 #: ``lockstep-planned`` / ``lockstep-prefetch``.
-BENCH_E2E_SCHEMA = "bench-e2e/v7"
+#: v8: the depth-k prefetch window and the self-resizing extent cache
+#: are gone, so the pressure scenario drops the ``pipelined-prefetch-k2``
+#: row and ``speedup_prefetch_k2_over_k1``, and throughput rows drop the
+#: two v6 counters.
+BENCH_E2E_SCHEMA = "bench-e2e/v8"
 
 #: The memory-pressure e2e workload: cache capacity far below the hot key
 #: set, an LFU-heavy split so LFU→LRU promotion storms form an eviction
@@ -593,12 +597,6 @@ def _throughput_row(
             sum(s.cache_collision_splits for s in stats)
         ),
         "admission_runs": int(sum(s.cache_admission_runs for s in stats)),
-        "prefetch_depth_backoffs": int(
-            sum(s.prefetch_depth_backoffs for s in stats)
-        ),
-        "extent_cache_resizes": int(
-            sum(s.extent_cache_resizes for s in stats)
-        ),
     }
 
 
@@ -704,19 +702,15 @@ def _pressure_scenario(
 
     Cache capacity sits far below the working set (``PRESSURE_WORKLOAD``)
     so every steady-state round drives promotion/eviction collisions.
-    Five modes train on identical data from an identically warmed cache:
-    the bulk admission engine in lockstep and pipelined execution, the
-    plan-driven prefetch pipeline in lockstep and pipelined execution,
-    and the depth-2 lookahead pipeline (``prefetch_depth=2``,
-    pipelined).  Parameters must be bit-identical across all five, with
-    ``lockstep-planned`` as the anchor; simulated seconds form parity
-    groups — the non-prefetch pair (anchored on ``lockstep-planned``),
-    the depth-1 prefetch pair (anchored on ``lockstep-prefetch``:
-    prefetch resolves the round's MEM working set in one pass, so its
-    simulated clock is a distinct but internally lockstep-exact mode),
-    and the depth-2 row as its own group (the window-delta resolve
-    re-times the prepare stage; the depth-sweep tests pin its
-    lockstep/pipelined agreement).  The per-key MEM oracle itself is
+    Four modes train on identical data from an identically warmed cache:
+    the bulk admission engine and the plan-driven prefetch pipeline,
+    each in lockstep and pipelined execution.  Parameters must be
+    bit-identical across all four, with ``lockstep-planned`` as the
+    anchor; simulated seconds form two parity groups — the non-prefetch
+    pair (anchored on ``lockstep-planned``) and the prefetch pair
+    (anchored on ``lockstep-prefetch``: prefetch resolves the round's
+    MEM working set in one pass, so its simulated clock is a distinct
+    but internally lockstep-exact mode).  The per-key MEM oracle itself is
     :mod:`repro.store.reference`, checked by the cache parity tests.
     """
     wl = PRESSURE_WORKLOAD
@@ -755,9 +749,6 @@ def _pressure_scenario(
     pf_lock, pf_lock_stats, row_pf_lock = measure(cfg_pf, False)
     pf_piped, pf_piped_stats, row_pf_piped = measure(cfg_pf, True)
 
-    cfg_k2 = dataclasses.replace(cfg_pf, prefetch_depth=2)
-    k2, k2_stats, row_k2 = measure(cfg_k2, True)
-
     seconds_parity = _sim_seconds_trace(pipelined_stats) == (
         _sim_seconds_trace(planned_stats)
     )
@@ -779,20 +770,14 @@ def _pressure_scenario(
             {"mode": "pipelined-planned", **row_pipelined},
             {"mode": "lockstep-prefetch", **row_pf_lock},
             {"mode": "pipelined-prefetch", **row_pf_piped},
-            {"mode": "pipelined-prefetch-k2", **row_k2},
         ],
         "speedup_prefetch_over_bulk": (
             row_pf_piped["rounds_per_s"] / row_planned["rounds_per_s"]
             if row_planned["rounds_per_s"]
             else 0.0
         ),
-        "speedup_prefetch_k2_over_k1": (
-            row_k2["rounds_per_s"] / row_pf_piped["rounds_per_s"]
-            if row_pf_piped["rounds_per_s"]
-            else 0.0
-        ),
         "parameter_parity": _parameter_parity(
-            planned, (pipelined, pf_lock, pf_piped, k2)
+            planned, (pipelined, pf_lock, pf_piped)
         ),
         "seconds_parity": bool(seconds_parity),
         "prefetch_seconds_parity": bool(prefetch_seconds_parity),

@@ -57,7 +57,10 @@ __all__ = [
 #: restored run continues long-horizon cost accounting.
 #: v3: manifests carry ``kind`` ("full" | "delta"); delta manifests chain
 #: to a sibling ``base`` directory via ``base_manifest_sha256``.
-FORMAT_VERSION = 3
+#: v4: ``ClusterConfig`` lost five fields (the depth-k prefetch window
+#: and the self-resizing extent cache), so a v3 manifest's saved config
+#: no longer constructs; shard layouts are unchanged.
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 DENSE_SHARD = "dense.npz"

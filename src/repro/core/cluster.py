@@ -53,11 +53,7 @@ from repro.hbm.allreduce import (
     allreduce_dense,
     hierarchical_allreduce,
 )
-from repro.analysis.effects import (
-    WINDOW_RESOURCE,
-    OverlapContract,
-    window_overlap_contracts,
-)
+from repro.analysis.effects import OverlapContract
 from repro.analysis.effects import (
     check_stage_conflicts as _check_stage_conflicts,
 )
@@ -284,17 +280,6 @@ class BatchStats:
     #: the round's MEM working set (0 unless ``config.prefetch``); part
     #: of :attr:`pull_push_seconds`
     prefetch_seconds: float = 0.0
-    #: deep prefetch-window extensions this round that backed off to a
-    #: shallower depth because the pin ceiling
-    #: (``config.prefetch_pin_fraction``) would have been exceeded
-    #: (summed over nodes; always 0 at ``prefetch_depth`` 1)
-    prefetch_depth_backoffs: int = 0
-    #: adaptive extent-cache resize events this round, summed over nodes
-    #: (0 unless ``config.ssd_extent_cache_resize_every`` > 0)
-    extent_cache_resizes: int = 0
-    #: extent-cache capacity in files at the round boundary, summed over
-    #: nodes — moves only under the adaptive sizing
-    extent_cache_files: int = 0
 
     @property
     def bottleneck_seconds(self) -> float:
@@ -360,7 +345,6 @@ class RoundContext:
     cache_stats_before: list[tuple[int, int]] = field(default_factory=list)
     admission_before: list[tuple[int, int]] = field(default_factory=list)
     compactions_before: int = 0
-    extent_before: list[int] = field(default_factory=list)
     ssd_before: list[float] = field(default_factory=list)
     # stage 4 output: the round's aggregated stats
     stats: BatchStats | None = None
@@ -485,19 +469,6 @@ class HPSCluster:
         #: (:class:`repro.faults.policy.FaultArm`, installed by
         #: :func:`repro.faults.inject.inject_faults`; None = fault-free)
         self._fault_arm: Any | None = None
-        #: depth-k lookahead peek buffer, keyed by round index: batches
-        #: materialized ahead of their round's read stage so the plan can
-        #: price future unions.  Peeks are side-effect-free (batches are
-        #: pure functions of the global index); the round that actually
-        #: consumes a buffered batch settles its ledger/fault accounting
-        #: via :meth:`~repro.data.hdfs.HDFSStream.account`, keeping the
-        #: op order identical to the depth-1 schedule.
-        self._peeked: dict[int, list[TimedBatch]] = {}
-        #: per-node MEM unions of the next round plus its sync carry,
-        #: from the previous round's plan lookahead
-        #: (``(round_index, unions, (global_keys, owner) | None)``;
-        #: None = compute from scratch)
-        self._next_unions: tuple | None = None
         #: the pipeline's stages (:class:`StageSpec`: name, closure,
         #: declared effects), in execution order.  The four Algorithm 1
         #: stages are fixed; optional stages splice in via
@@ -511,16 +482,8 @@ class HPSCluster:
             "load": self.stage_load,
             "train": self.stage_train,
         }
-        depth = cluster_config.prefetch_depth
-        effects = dict(STAGE_EFFECTS)
-        if depth > 1:
-            # Deep windows make train's end-of-round unpin window-aware
-            # (unpin everything *except* the still-speculative window),
-            # which is a write to the shared window pin state.
-            t_reads, t_writes = effects["train"]
-            effects["train"] = (t_reads, t_writes | {WINDOW_RESOURCE})
         self._stage_defs: list[StageSpec] = [
-            StageSpec(name, base_fns[name], *effects[name])
+            StageSpec(name, base_fns[name], *STAGE_EFFECTS[name])
             for name in PIPELINE_STAGE_NAMES
         ]
         #: per-stage sanctioned-overlap declarations; the base contracts
@@ -531,17 +494,12 @@ class HPSCluster:
         }
         if cluster_config.prefetch:
             reads, writes = STAGE_EFFECTS["prefetch"]
-            contracts: tuple[OverlapContract, ...] = ()
-            if depth > 1:
-                writes = writes | {WINDOW_RESOURCE}
-                contracts = window_overlap_contracts(depth)
             self.register_stage(
                 "prefetch",
                 self.stage_prefetch,
                 after="read",
                 reads=reads,
                 writes=writes,
-                contracts=contracts,
             )
 
     # ------------------------------------------------------------------
@@ -715,43 +673,13 @@ class HPSCluster:
         :class:`~repro.plan.RoundPlan` — the only place key metadata
         (unique sets, owner partitions, shard unions) is derived; every
         later stage consumes the plan's precomputed index arrays.
-
-        At ``prefetch_depth`` k > 1 it additionally peeks the batches of
-        rounds ``b+1..b+k-1`` (no ledger/fault side effects — those
-        settle in the round that consumes the batch) so the plan can
-        price each future round's per-node MEM unions, and it reuses the
-        current round's union carried from the previous round's
-        lookahead instead of recomputing it.
         """
         r = ctx.round_index
-        peeked = self._peeked.pop(r, None)
-        if peeked is not None:
-            ctx.timed = [
-                n.hdfs.account(t) for n, t in zip(self.nodes, peeked)
-            ]
-        else:
-            ctx.timed = [
-                n.hdfs.read(r * self.n_nodes + n.node_id) for n in self.nodes
-            ]
+        ctx.timed = [
+            n.hdfs.read(r * self.n_nodes + n.node_id) for n in self.nodes
+        ]
         ctx.read_seconds = max(t.read_seconds for t in ctx.timed)
         if self.use_plan:
-            depth = self.config.prefetch_depth
-            lookahead: list[list[Batch]] | None = None
-            prefetch_unions: list[np.ndarray] | None = None
-            sync_carry = None
-            if depth > 1:
-                lookahead = []
-                for d in range(1, depth):
-                    fut = r + d
-                    if fut not in self._peeked:
-                        self._peeked[fut] = [
-                            n.hdfs.peek(fut * self.n_nodes + n.node_id)
-                            for n in self.nodes
-                        ]
-                    lookahead.append([t.batch for t in self._peeked[fut]])
-                if self._next_unions is not None and self._next_unions[0] == r:
-                    prefetch_unions = self._next_unions[1]
-                    sync_carry = self._next_unions[2]
             ctx.plan = build_round_plan(
                 [t.batch for t in ctx.timed],
                 node_partitioner=self.nodes[0].mem_ps.partitioner,
@@ -759,18 +687,7 @@ class HPSCluster:
                 n_gpus=self.config.gpus_per_node,
                 mb_rounds=self.config.minibatches_per_gpu,
                 prefetch=self.config.prefetch,
-                lookahead=lookahead,
-                prefetch_unions=prefetch_unions,
-                sync_carry=sync_carry,
             )
-            if depth > 1 and ctx.plan.prefetch is not None:
-                self._next_unions = (
-                    r + 1,
-                    [p.lookahead[0] for p in ctx.plan.prefetch],
-                    ctx.plan.lookahead_sync[0]
-                    if ctx.plan.lookahead_sync
-                    else None,
-                )
         return ctx.read_seconds
 
     def _snapshot_counters(self, ctx: RoundContext) -> None:
@@ -797,9 +714,6 @@ class HPSCluster:
         ctx.ssd_before = [
             n.ledger.total("ssd_read") + n.ledger.total("ssd_write")
             for n in nodes
-        ]
-        ctx.extent_before = [
-            n.ssd_ps.store.extent_cache.resizes for n in nodes
         ]
 
     def stage_prefetch(self, ctx: RoundContext) -> float:
@@ -981,7 +895,11 @@ class HPSCluster:
             if splan is not None:
                 # The plan predicted this union at read time; a mismatch
                 # means the plan and the drained gradients diverged.
-                assert np.array_equal(global_update.keys, splan.keys)
+                if not np.array_equal(global_update.keys, splan.keys):
+                    raise RuntimeError(
+                        f"round {ctx.round_index}, sync round {m}: the "
+                        "allreduce key union diverged from the round plan"
+                    )
             t_apply = 0.0
             for i, node in enumerate(nodes):
                 if splan is not None:
@@ -1087,16 +1005,6 @@ class HPSCluster:
             cache_admission_runs=sum(d[0] for d in adm_delta),
             cache_collision_splits=sum(d[1] for d in adm_delta),
             prefetch_seconds=ctx.prefetch_seconds,
-            prefetch_depth_backoffs=sum(
-                n.mem_ps.take_depth_backoffs() for n in nodes
-            ),
-            extent_cache_resizes=sum(
-                n.ssd_ps.store.extent_cache.resizes for n in nodes
-            )
-            - sum(ctx.extent_before),
-            extent_cache_files=sum(
-                n.ssd_ps.store.extent_cache.max_files for n in nodes
-            ),
         )
         ctx.stats = stats
         self.history.append(stats)
@@ -1211,12 +1119,6 @@ class HPSCluster:
         self._require_round_boundary("abort_round")
         for node in self.nodes:
             node.mem_ps.abort_round()
-        # The lookahead peek buffer and carried unions describe rounds
-        # the aborted schedule expected; the retried round re-peeks
-        # (batches are pure functions of the index, so a re-peek cannot
-        # fork the data — only recompute it).
-        self._peeked.clear()
-        self._next_unions = None
 
     def lookup_embeddings(self, keys: np.ndarray) -> np.ndarray:
         """Read-only embedding lookup across owners (for evaluation).
@@ -1407,12 +1309,6 @@ class HPSCluster:
 
         stage_snapshot.history = []  # type: ignore[attr-defined]
         reads, writes = STAGE_EFFECTS["snapshot"]
-        if self.config.prefetch_depth > 1:
-            # The MEM export transiently unpins + re-pins the in-flight
-            # window (pins are residency metadata, not snapshot state) —
-            # a write to the shared window resource, sanctioned by the
-            # depth-aware contracts registered with the prefetch stage.
-            writes = writes | {WINDOW_RESOURCE}
         self.register_stage(
             "snapshot",
             stage_snapshot,

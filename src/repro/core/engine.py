@@ -26,14 +26,10 @@ constraint system, independent of processing order.  This is what makes
 pipelined training bit-identical to lockstep: the real work is the same
 work in the same order, only the clock model differs.
 
-Depth-k lookahead rides the same discipline: with ``prefetch_depth = k``
-the prepare-stage closure additionally resolves and pins the per-node
-unions for rounds ``b + 1 .. b + k`` (see
-:meth:`~repro.mem.mem_ps.MemPS.prefetch_resolve`).  That work lands in
-the stage's idle shadow — :meth:`EngineRun.shadow_idle_seconds` measures
-the budget — so deeper lookahead widens overlap without perturbing the
-canonical firing order, and the depth-1 schedule is bit-identical to a
-run without lookahead.
+The optional prefetch stage rides the same discipline: it resolves and
+pins round ``b``'s MEM working set in its own closure, fired in
+canonical order between read(b) and prepare(b), while the clock lets it
+overlap round ``b - 1``'s later stages.
 """
 
 from __future__ import annotations
@@ -157,12 +153,8 @@ class EngineRun:
 
         Events on one stage are serialized, so the gaps between
         consecutive events are the pipeline *shadow* — capacity available
-        without extending the makespan.  This is the budget the depth-k
-        prefetch stage schedules resolve-and-pin work into: with
-        ``prefetch_depth = k`` the prepare stage resolves the lookahead
-        unions for rounds ``b + 1 .. b + k`` while its own next batch is
-        still blocked upstream, which is why deeper lookahead costs no
-        extra wall-clock until the shadow is exhausted.
+        without extending the makespan: extra work a stage could absorb
+        while its next batch is still blocked upstream.
         """
         start, finish = self.schedule.start, self.schedule.finish
         if start.shape[0] == 0:

@@ -76,21 +76,22 @@ class HDFSStream:
 
         Batches are pure functions of the global index, so a peeked
         batch is bit-identical to what :meth:`read` would return for the
-        same index; the lookahead planner peeks rounds ``b+1..b+k-1``
-        and settles each via :meth:`account` in the round that actually
-        consumes it, keeping the ledger/fault op order identical to the
-        depth-1 schedule.
+        same index.
         """
         batch = self.generator.batch(global_index, self.batch_size)
         return TimedBatch(global_index, batch, self.read_time(batch))
 
-    def account(self, timed: TimedBatch) -> TimedBatch:
-        """Charge the ledger/fault/counter side effects for a peeked batch.
+    def read(self, global_index: int) -> TimedBatch:
+        """Fetch one batch by global index, charging the ledger.
 
-        Performs exactly the side effects :meth:`read` would, in the
-        same order, and returns the batch with any fault-retry seconds
-        folded into ``read_seconds``.
+        When armed, transfer timeouts (a timed-out attempt wastes the
+        whole transfer) and transient read failures (fail fast, backoff
+        only) retry under the policy *before* the stream's counters
+        advance — an exhausted fault escapes with round scope and the
+        retried round re-reads the identical batch (batches are pure
+        functions of the global index, so a retry cannot fork the data).
         """
+        timed = self.peek(global_index)
         t = timed.read_seconds
         extra = 0.0
         if self.faults is not None:
@@ -103,18 +104,6 @@ class HDFSStream:
         if extra:
             return TimedBatch(timed.index, timed.batch, t + extra)
         return timed
-
-    def read(self, global_index: int) -> TimedBatch:
-        """Fetch one batch by global index, charging the ledger.
-
-        When armed, transfer timeouts (a timed-out attempt wastes the
-        whole transfer) and transient read failures (fail fast, backoff
-        only) retry under the policy *before* the stream's counters
-        advance — an exhausted fault escapes with round scope and the
-        retried round re-reads the identical batch (batches are pure
-        functions of the global index, so a retry cannot fork the data).
-        """
-        return self.account(self.peek(global_index))
 
     def stream(self, n_rounds: int):
         """Yield this node's share of ``n_rounds`` global rounds.

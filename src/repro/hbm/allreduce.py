@@ -186,8 +186,13 @@ def hierarchical_allreduce(
                     and b.n_keys
                 ):
                     keys, positions = union_plan
-                    assert positions[i].size == a.n_keys
-                    assert positions[j].size == b.n_keys
+                    for node, part in ((i, a), (j, b)):
+                        if positions[node].size != part.n_keys:
+                            raise ValueError(
+                                f"union plan places {positions[node].size} "
+                                f"keys for node {node}, but it drained "
+                                f"{part.n_keys}"
+                            )
                     # repro: allow(f64-hot-path)
                     out = np.zeros(
                         (keys.size,) + a.grads.shape[1:],

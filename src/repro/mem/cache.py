@@ -1751,12 +1751,12 @@ class CombinedCache:
     def touch_rows(self, rows: np.ndarray) -> None:
         """Account an LRU access at already-resolved pinned rows.
 
-        The consume path of the depth-k prefetch window: the rows were
-        located (and pinned) by an earlier round's
-        :meth:`prefetch_resolve`, so serving them this round is recency
-        ticks + access counts + hit statistics on known slots — exactly
+        Recency ticks + access counts + hit statistics on slots an
+        earlier :meth:`prefetch_resolve` located and pinned — exactly
         segment 1 of the resolve, with zero index traffic (no admission
-        work can arise on pinned residents).
+        work can arise on pinned residents).  No tier calls it; the
+        benchmark's layer tracer (``perfbench/layers.py``) binds it by
+        name.
         """
         n = rows.size
         if not n:
@@ -1768,12 +1768,11 @@ class CombinedCache:
     def unpin_rows_except(
         self, rows: np.ndarray, keep: list[np.ndarray]
     ) -> None:
-        """Release pins at ``rows`` except rows present in any ``keep``.
-
-        End-of-round face of the prefetch window: the finished round's
-        rows are unpinned, but rows the still-in-flight lookahead window
-        shares with it must stay pinned (a pin is a boolean, not a
-        refcount, so a plain unpin would release the window's claim).
+        """Release pins at ``rows`` except rows present in any ``keep``
+        (a pin is a boolean, not a refcount, so a plain unpin would also
+        release a claim ``keep`` still holds).  No tier calls it; the
+        benchmark's layer tracer (``perfbench/layers.py``) binds it by
+        name.
         """
         if not keep:
             self.lru._pinned[rows] = False

@@ -38,22 +38,6 @@ __all__ = ["MemPS", "PrepareStats"]
 _NODE_SALT = 0x6E6F6465  # "node"
 
 
-@dataclass
-class _WindowEntry:
-    """One resolved future round of the depth-k prefetch window.
-
-    ``rows`` are pinned LRU slab rows — pinned rows are never eviction
-    victims and in-place overwrites reuse the row, so the entry stays
-    valid (no slab re-verification needed) until its round consumes it.
-    """
-
-    keys: np.ndarray
-    rows: np.ndarray
-    hit: np.ndarray
-    ssd_found: np.ndarray
-    admission: object
-
-
 @dataclass(frozen=True)
 class PrepareStats:
     """Timing/traffic decomposition of one prepare() call."""
@@ -92,7 +76,6 @@ class MemPS:
         seed: int = 0,
         cache: CombinedCache | None = None,
         key_domain: int | None = None,
-        prefetch_pin_fraction: float = 0.8,
     ) -> None:
         if not 0 <= node_id < n_nodes:
             raise ValueError("node_id out of range")
@@ -129,18 +112,6 @@ class MemPS:
         #: carry-over seed for the next :meth:`prefetch` (each carried
         #: row is re-verified against the slab before reuse).
         self._prev_union: tuple = (None, None)
-        #: depth-k lookahead window: entry ``i`` is the resolved-and-
-        #: pinned union of round ``b+1+i`` (consumed FIFO by
-        #: :meth:`prefetch`; empty at depth 1, where behavior is
-        #: bit-identical to the pre-window code path).
-        self._window: list[_WindowEntry] = []
-        #: LRU-tier pin ceiling of the window (see
-        #: ``ClusterConfig.prefetch_pin_fraction``)
-        self.prefetch_pin_fraction = prefetch_pin_fraction
-        #: rounds where the window backed off to a shallower depth
-        #: because the pin ceiling would have been crossed (drained per
-        #: round by the cluster into ``BatchStats``)
-        self.depth_backoffs = 0
 
     # ------------------------------------------------------------------
     def owner_of(self, keys: np.ndarray) -> np.ndarray:
@@ -259,9 +230,11 @@ class MemPS:
         pplan = self._prefetch_plan
         if pplan is not None and requester is not None:
             pos = pplan.serve_pos[requester]
-            assert np.array_equal(keys, pplan.keys[pos]), (
-                "prefetch plan and remote pull diverged"
-            )
+            if not np.array_equal(keys, pplan.keys[pos]):
+                raise RuntimeError(
+                    f"node {self.node_id}: remote pull from node {requester} "
+                    "diverged from the prefetch plan's served partition"
+                )
             return self.cache.values_at(pplan.rows[pos]), 0.0
         values, seconds, _, _, _ = self.fetch_local(
             keys, pin=True, assume_unique=pre_owned
@@ -282,33 +255,10 @@ class MemPS:
         risk).  Returns simulated seconds (SSD loads plus overflow
         dumps — the same charges the unprefetched path would pay, moved
         earlier in the round).
-
-        At depth ``k`` > 1 the round's union was usually resolved by an
-        earlier round's lookahead and sits pinned in the sliding window:
-        consuming it is pure accounting on known rows
-        (:meth:`CombinedCache.touch_rows`).  Either way the window is
-        then extended toward ``pplan.lookahead`` — each future union
-        pays only its *delta* against the deepest resolved union, under
-        the pin ceiling (see :meth:`_extend_window`).  At depth 1 the
-        window is empty and this is bit-identical to the pre-window
-        code path.
         """
-        seconds = 0.0
-        if self._window:
-            entry = self._window.pop(0)
-            assert np.array_equal(entry.keys, pplan.keys), (
-                "prefetch window and round plan diverged"
-            )
-            self.cache.touch_rows(entry.rows)
-            pplan.rows = entry.rows
-            pplan.hit = entry.hit
-            pplan.ssd_found = entry.ssd_found
-            pplan.admission = entry.admission
-        else:
-            seconds += self._resolve_current(pplan)
+        seconds = self._resolve_current(pplan)
         self._prev_union = (pplan.keys, pplan.rows)
         self._prefetch_plan = pplan
-        seconds += self._extend_window(pplan)
         return seconds
 
     def _resolve_current(self, pplan) -> float:
@@ -365,129 +315,6 @@ class MemPS:
         pplan.admission = self._admission_delta(adm_before)
         return seconds
 
-    def _pin_ceiling(self) -> int | None:
-        """Max LRU rows the round + window may pin (None = no limit)."""
-        lru = getattr(self.cache, "lru", None)
-        cap = getattr(lru, "capacity", None)
-        if cap is None:
-            return None
-        return int(self.prefetch_pin_fraction * cap)
-
-    def _extend_window(self, pplan) -> float:
-        """Resolve-and-pin the lookahead unions into the sliding window.
-
-        Each future union shares most of its keys with the deepest
-        already-resolved union (the consecutive-round overlap of a
-        skewed key stream), and those keys are pinned — their slab rows
-        are proof of residency — so only the union *delta* pays index
-        probes, SSD loads, and pins.  A delta that would push the pinned
-        LRU fraction past the ceiling stops the extension for this round
-        (counted in :attr:`depth_backoffs`); the next round retries from
-        the shallower window, so deep pins can never starve admission.
-        """
-        la = getattr(pplan, "lookahead", None)
-        if not la:
-            return 0.0
-        seconds = 0.0
-        ceiling = self._pin_ceiling()
-        for d in range(len(self._window), len(la)):
-            union = la[d]
-            if self._window:
-                deep_k = self._window[-1].keys
-                deep_r = self._window[-1].rows
-            else:
-                deep_k, deep_r = pplan.keys, pplan.rows
-            n = union.size
-            hit = np.zeros(n, dtype=bool)
-            rows = np.empty(n, dtype=np.int64)
-            rows.fill(-1)
-            ssd_found = np.zeros(n, dtype=bool)
-            if deep_k is not None and deep_k.size and deep_r is not None:
-                pos = deep_k.searchsorted(union)
-                np.minimum(pos, deep_k.size - 1, out=pos)
-                carried = deep_k[pos] == union
-            else:
-                pos = None
-                carried = np.zeros(n, dtype=bool)
-            delta_idx = np.flatnonzero(~carried)
-            if (
-                ceiling is not None
-                and self.cache.pinned_count() + delta_idx.size > ceiling
-            ):
-                self.depth_backoffs += 1
-                break
-            adm_before = self._admission_snapshot()
-            if pos is not None:
-                # Carried rows are pinned — residency is structural, no
-                # slab re-verification, no probe, no new pin.
-                rows[carried] = deep_r[pos[carried]]
-                hit[carried] = True
-            if delta_idx.size:
-                d_keys = union[delta_idx]
-                d_hit, d_rows = self.cache.prefetch_resolve(d_keys)
-                pf_k, pf_v = self.cache.take_pending_flush()
-                if pf_k.size:
-                    seconds += self.ssd_ps.dump(pf_k, pf_v).total_seconds
-                if d_rows is None:
-                    self.cache.pin_batch(d_keys[d_hit])
-                else:
-                    self.cache.pin_rows(d_rows[d_hit])
-                miss_idx = np.flatnonzero(~d_hit)
-                if miss_idx.size:
-                    miss_keys = d_keys[miss_idx]
-                    result, stats = self.ssd_ps.load(miss_keys)
-                    seconds += stats.total_seconds
-                    ssd_found[delta_idx[miss_idx]] = result.found
-                    vals = result.values
-                    fresh_idx = np.flatnonzero(~result.found)
-                    if fresh_idx.size:
-                        vals[fresh_idx] = self.optimizer.init_for_keys(
-                            miss_keys[fresh_idx], seed=self._init_seed
-                        )
-                    flush_k, flush_v = self.cache.put_batch(
-                        miss_keys, vals, pin=True, assume_absent=True
-                    )
-                    if flush_k.size:
-                        seconds += self.ssd_ps.dump(
-                            flush_k, flush_v
-                        ).total_seconds
-                if d_rows is None:
-                    d_rows = self.cache.resolve_pinned(d_keys)
-                elif miss_idx.size:
-                    d_rows[miss_idx] = self.cache.resolve_pinned(
-                        d_keys[miss_idx]
-                    )
-                rows[delta_idx] = d_rows
-                hit[delta_idx] = d_hit
-            self._window.append(
-                _WindowEntry(
-                    keys=union,
-                    rows=rows,
-                    hit=hit,
-                    ssd_found=ssd_found,
-                    admission=self._admission_delta(adm_before),
-                )
-            )
-        return seconds
-
-    def drop_window(self) -> None:
-        """Release the lookahead window's pins and forget its entries.
-
-        Values were never speculatively mutated — window entries are
-        resolve/load/pin only — so dropping the window is purely a
-        bookkeeping reset (used by fault recovery and full-cache
-        flushes; the next prefetch re-resolves from scratch).
-        """
-        for e in self._window:
-            self.cache.unpin_rows(e.rows)
-        self._window.clear()
-
-    def take_depth_backoffs(self) -> int:
-        """Drain the backoff counter (per-round ``BatchStats`` feed)."""
-        n = self.depth_backoffs
-        self.depth_backoffs = 0
-        return n
-
     def prepare(
         self, working_keys: np.ndarray, *, plan=None
     ) -> tuple[np.ndarray, PrepareStats]:
@@ -497,8 +324,8 @@ class MemPS:
         the Fig. 4(b) decomposition.  With a
         :class:`~repro.plan.NodePlan`, the owner partition comes from the
         plan's precomputed index arrays (no re-hash, no re-unique — the
-        plan guarantees uniqueness by construction, demoting the
-        ``all_unique`` check to a debug assertion) and the resolved cache
+        plan guarantees uniqueness by construction; ``all_unique`` still
+        guards it with a ``ValueError``) and the resolved cache
         state is recorded on the plan for the write-back stage.
         """
         keys = as_keys(working_keys)
@@ -509,7 +336,8 @@ class MemPS:
             local_idx = np.flatnonzero(owners == self.node_id)
             part_of = lambda p: np.flatnonzero(owners == p)  # noqa: E731
         else:
-            assert all_unique(keys), "BatchPlan working keys must be unique"
+            if not all_unique(keys):
+                raise ValueError("BatchPlan working keys must be unique")
             local_idx = plan.node_parts[self.node_id]
             part_of = lambda p: plan.node_parts[p]  # noqa: E731
         values = np.zeros((keys.size, self.optimizer.value_dim), dtype=np.float32)
@@ -704,16 +532,7 @@ class MemPS:
         """
         seconds = 0.0
         if self._prefetch_plan is not None:
-            if self._window:
-                # Rows the in-flight lookahead window shares with the
-                # finished round keep their pin (a pin is a boolean,
-                # not a refcount).
-                self.cache.unpin_rows_except(
-                    self._prefetch_plan.rows,
-                    [e.rows for e in self._window],
-                )
-            else:
-                self.cache.unpin_rows(self._prefetch_plan.rows)
+            self.cache.unpin_rows(self._prefetch_plan.rows)
             self._prefetch_plan = None
         for keys in self._served_keys:
             self.cache.unpin_batch(keys)
@@ -735,14 +554,12 @@ class MemPS:
         residency from scratch; values were never mutated, so this is
         purely a bookkeeping reset).
         """
-        self.drop_window()
         seconds = self.end_batch()
         self._prev_union = (None, None)
         return seconds
 
     def flush_to_ssd(self) -> float:
         """Drain the entire cache to the SSD-PS (checkpoint/shutdown)."""
-        self.drop_window()
         fk, fv = self.cache.flush_all()
         if fk.size == 0:
             return 0.0
@@ -764,36 +581,14 @@ class MemPS:
         capture in-flight working-set state that a restore cannot honour.
         """
         self._require_boundary()
-        return self._with_window_unpinned(self.cache.export_state)
+        return self.cache.export_state()
 
     def delta_base(self) -> dict[str, np.ndarray]:
         """The lean record :meth:`export_delta` diffs against
         (:meth:`CombinedCache.delta_base`); read-only, same contract as
         :meth:`export_state`."""
         self._require_boundary()
-        return self._with_window_unpinned(self.cache.delta_base)
-
-    def _with_window_unpinned(self, fn):
-        """Run a cache snapshot with the window's pins lifted.
-
-        At depth > 1 a round boundary still has the lookahead window
-        pinned, but pins are in-flight bookkeeping the snapshot format
-        deliberately excludes — a restore re-resolves its window from
-        scratch.  Lifting the pins around the (read-only) export and
-        re-applying them is observationally pure: nothing can evict
-        between the two, and the exported bytes are identical to a
-        windowless cache in the same state.
-        """
-        if not self._window:
-            return fn()
-        rows = [e.rows for e in self._window]
-        for r in rows:
-            self.cache.unpin_rows(r)
-        try:
-            return fn()
-        finally:
-            for r in rows:
-                self.cache.pin_rows(r)
+        return self.cache.delta_base()
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore the MEM tier from an :meth:`export_state` snapshot."""
@@ -801,9 +596,6 @@ class MemPS:
         self._served_keys.clear()
         self._prefetch_plan = None
         self._prev_union = (None, None)
-        # Window rows reference the pre-restore slab; the restored cache
-        # carries no pins, so the entries are dropped, not unpinned.
-        self._window.clear()
 
     def export_delta(
         self,
@@ -818,9 +610,7 @@ class MemPS:
         contract as :meth:`export_state`.
         """
         self._require_boundary()
-        return self._with_window_unpinned(
-            lambda: self.cache.export_delta(base, dirty_keys=dirty_keys)
-        )
+        return self.cache.export_delta(base, dirty_keys=dirty_keys)
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
         """Apply an :meth:`export_delta` diff on top of the base state."""
@@ -828,4 +618,3 @@ class MemPS:
         self._served_keys.clear()
         self._prefetch_plan = None
         self._prev_union = (None, None)
-        self._window.clear()

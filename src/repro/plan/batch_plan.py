@@ -50,7 +50,6 @@ __all__ = [
     "RoundPlan",
     "build_round_plan",
     "group_indices",
-    "round_mem_unions",
 ]
 
 
@@ -299,12 +298,6 @@ class NodePrefetchPlan:
     ssd_found: np.ndarray | None = None
     #: how the cache admitted the prefetch batch (bulk runs vs. splits)
     admission: AdmissionRecord | None = None
-    #: per lookahead round ``b+1..b+k-1`` (depth ``k`` > 1), this node's
-    #: MEM-touch union of that round — the same sorted set
-    #: :func:`build_round_plan` would emit as :attr:`keys` when that
-    #: round becomes current (see :func:`round_mem_unions`); the prefetch
-    #: stage resolves these into its sliding window
-    lookahead: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -317,11 +310,6 @@ class RoundPlan:
     #: one :class:`NodePrefetchPlan` per node when the cluster runs with
     #: the prefetch stage (None otherwise)
     prefetch: list[NodePrefetchPlan] | None = None
-    #: per lookahead round, the future round's ``(global_keys, owner)``
-    #: sync carry (depth k > 1 only; see :func:`round_mem_unions`)
-    lookahead_sync: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list
-    )
 
     @property
     def n_working_keys(self) -> int:
@@ -342,48 +330,6 @@ class RoundPlan:
         return np.unique(np.concatenate(parts))
 
 
-def round_mem_unions(
-    batches: list[Batch],
-    *,
-    node_partitioner: ModuloPartitioner,
-    return_global: bool = False,
-) -> (
-    list[np.ndarray] | tuple[list[np.ndarray], np.ndarray, np.ndarray]
-):
-    """Per-node MEM-touch unions of one round, from its batches alone.
-
-    Node ``i``'s prefetch union (:attr:`NodePrefetchPlan.keys`) is
-    exactly the set of keys node ``i`` *owns* among every key any node's
-    batch touches this round: its local partition, every partition it
-    serves to a peer, and the owner-queue keys are all owner-``i``
-    subsets of the round's global key union, and together they cover it.
-    That identity lets the lookahead planner price a future round's
-    prefetch set with one dedup + one partition — no node/sync plans —
-    and the result is the identical sorted array ``build_round_plan``
-    will emit when the round becomes current.
-
-    With ``return_global=True`` also returns the round's global key
-    union and its owner partition — at one sync round per mini-batch
-    these are exactly the :class:`SyncPlan` key set and owner array the
-    round will need when it becomes current, so a depth-k planner can
-    carry them forward instead of re-deriving them.
-    """
-    n_nodes = len(batches)
-    parts = [b.unique_keys() for b in batches]
-    non_empty = [k for k in parts if k.size]
-    all_keys = (
-        compact_unique(np.concatenate(non_empty))
-        if non_empty
-        else np.empty(0, dtype=KEY_DTYPE)
-    )
-    owner = node_partitioner.part_of(all_keys)
-    groups = group_indices(owner, n_nodes)
-    unions = [all_keys[g] for g in groups]
-    if return_global:
-        return unions, all_keys, owner
-    return unions
-
-
 def build_round_plan(
     batches: list[Batch],
     *,
@@ -392,9 +338,6 @@ def build_round_plan(
     n_gpus: int,
     mb_rounds: int,
     prefetch: bool = False,
-    lookahead: list[list[Batch]] | None = None,
-    prefetch_unions: list[np.ndarray] | None = None,
-    sync_carry: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RoundPlan:
     """Compute the round's full key plan from its batches.
 
@@ -403,19 +346,6 @@ def build_round_plan(
     ``prefetch=True`` the plan also carries one
     :class:`NodePrefetchPlan` per node — the union of every key that
     node's MEM tier will touch, with gather segments for each consumer.
-
-    ``lookahead`` (depth ``k`` > 1 only) is the batch list of each future
-    round ``b+1..b+k-1``; their per-node unions are attached to
-    :attr:`NodePrefetchPlan.lookahead` via :func:`round_mem_unions`.
-    ``prefetch_unions`` optionally supplies this round's per-node unions
-    precomputed by the *previous* round's lookahead, skipping the union
-    rebuild (the arrays are bit-identical by the owner-partition
-    identity, so the emitted plan does not depend on which path ran).
-    ``sync_carry`` optionally supplies ``(global_keys, owner)`` — the
-    round's global key union and owner partition from the same lookahead
-    pass (:func:`round_mem_unions` with ``return_global=True``) — and is
-    honoured only at one sync round per mini-batch, where the sync key
-    set is exactly that union.
     """
     n_nodes = len(batches)
     node_plans: list[NodePlan] = []
@@ -507,19 +437,13 @@ def build_round_plan(
         node_keys = [
             node_plans[i].keys[m_union_work_idx[i][m]] for i in range(n_nodes)
         ]
-        if sync_carry is not None and mb_rounds == 1:
-            # Carried from the previous round's lookahead: at one sync
-            # round the global key set is the round's full key union —
-            # bit-identical to the rebuild below.
-            global_keys, owner_of_global = sync_carry
-        else:
-            non_empty = [k for k in node_keys if k.size]
-            global_keys = (
-                compact_unique(np.concatenate(non_empty))
-                if non_empty
-                else np.empty(0, dtype=KEY_DTYPE)
-            )
-            owner_of_global = node_partitioner.part_of(global_keys)
+        non_empty = [k for k in node_keys if k.size]
+        global_keys = (
+            compact_unique(np.concatenate(non_empty))
+            if non_empty
+            else np.empty(0, dtype=KEY_DTYPE)
+        )
+        owner_of_global = node_partitioner.part_of(global_keys)
         per_node: list[NodeSyncPlan] = []
         for i, plan in enumerate(node_plans):
             resident, pos = work_lookups[i][1](global_keys)
@@ -545,20 +469,7 @@ def build_round_plan(
     prefetch_plans: list[NodePrefetchPlan] | None = None
     if prefetch:
         prefetch_plans = []
-        base_pos = (
-            _key_lookup(sync_plans[0].keys)[0]
-            if mb_rounds == 1 and prefetch_unions is None
-            else None
-        )
-        future_unions = []
-        future_globals: list[tuple[np.ndarray, np.ndarray]] = []
-        if lookahead:
-            for b in lookahead:
-                fu, fg, fo = round_mem_unions(
-                    b, node_partitioner=node_partitioner, return_global=True
-                )
-                future_unions.append(fu)
-                future_globals.append((fg, fo))
+        base_pos = _key_lookup(sync_plans[0].keys)[0] if mb_rounds == 1 else None
         for i, plan in enumerate(node_plans):
             # Every constituent is sorted unique by construction; the
             # union only needs the cross-part dedup.
@@ -572,30 +483,24 @@ def build_round_plan(
             update_keys = [
                 sp.keys[sp.nodes[i].missing_own_idx] for sp in sync_plans
             ]
-            if prefetch_unions is not None:
-                # Carried over from the previous round's lookahead —
-                # bit-identical to the rebuild below by the
-                # owner-partition identity (see ``round_mem_unions``).
-                union = prefetch_unions[i]
+            parts = [
+                k for k in (local_keys, *serve_keys, *update_keys) if k.size
+            ]
+            if mb_rounds == 1 and parts:
+                # Single sync round: every part is a subset of that
+                # round's global key set (each node contributes its
+                # full working set, and the owner queue is drawn from
+                # the global set itself), so the union is a
+                # membership mask over it — no sort needed.
+                base = sync_plans[0].keys
+                member = np.zeros(base.size, dtype=bool)
+                for k in parts:
+                    member[base_pos(k)] = True
+                union = base[np.flatnonzero(member)]
+            elif parts:
+                union = compact_unique(np.concatenate(parts))
             else:
-                parts = [
-                    k for k in (local_keys, *serve_keys, *update_keys) if k.size
-                ]
-                if mb_rounds == 1 and parts:
-                    # Single sync round: every part is a subset of that
-                    # round's global key set (each node contributes its
-                    # full working set, and the owner queue is drawn from
-                    # the global set itself), so the union is a
-                    # membership mask over it — no sort needed.
-                    base = sync_plans[0].keys
-                    member = np.zeros(base.size, dtype=bool)
-                    for k in parts:
-                        member[base_pos(k)] = True
-                    union = base[np.flatnonzero(member)]
-                elif parts:
-                    union = compact_unique(np.concatenate(parts))
-                else:
-                    union = np.empty(0, dtype=KEY_DTYPE)
+                union = np.empty(0, dtype=KEY_DTYPE)
             union_pos = _key_lookup(union)[0]
             prefetch_plans.append(
                 NodePrefetchPlan(
@@ -603,12 +508,10 @@ def build_round_plan(
                     local_pos=union_pos(local_keys),
                     serve_pos=[union_pos(k) for k in serve_keys],
                     update_pos=[union_pos(k) for k in update_keys],
-                    lookahead=[fu[i] for fu in future_unions],
                 )
             )
     return RoundPlan(
         nodes=node_plans,
         sync=sync_plans,
         prefetch=prefetch_plans,
-        lookahead_sync=future_globals if prefetch else [],
     )

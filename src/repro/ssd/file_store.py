@@ -88,9 +88,6 @@ class FileStore:
         directory: str | None = None,
         ledger: CostLedger | None = None,
         extent_cache_files: int = 0,
-        extent_cache_resize_every: int = 0,
-        extent_cache_min_files: int = 1,
-        extent_cache_max_files: int | None = None,
         key_domain: int | None = None,
     ) -> None:
         if value_dim <= 0:
@@ -103,14 +100,7 @@ class FileStore:
         self.device = SSDDevice(ssd_spec or SSDSpec(), self.ledger)
         #: cross-round payload cache; disabled (0 capacity) by default so
         #: charged seconds stay identical to the pre-cache behaviour.
-        #: With ``extent_cache_resize_every`` > 0 the cache self-tunes
-        #: its capacity to the observed file-reuse distances.
-        self.extent_cache = FileHandleCache(
-            extent_cache_files,
-            resize_every=extent_cache_resize_every,
-            min_files=extent_cache_min_files,
-            max_files_limit=extent_cache_max_files,
-        )
+        self.extent_cache = FileHandleCache(extent_cache_files)
         #: fault-injection guard for cold file reads
         #: (:class:`repro.faults.policy.FaultArm`; None = fault-free)
         self.faults = None
@@ -349,7 +339,7 @@ class FileStore:
             offsets[1:] = np.cumsum([k.size for k in keys_parts])
         map_keys, map_fids = self._mapping.items()
         order = np.argsort(map_keys)
-        out = {
+        return {
             "file_ids": np.asarray(fids, dtype=np.int64),
             "file_offsets": offsets,
             "file_keys": (
@@ -376,14 +366,6 @@ class FileStore:
                 self.extent_cache.resident_ids(), dtype=np.int64
             ),
         }
-        self._export_extent_tuning(out)
-        return out
-
-    def _export_extent_tuning(self, out: dict[str, np.ndarray]) -> None:
-        """Attach the adaptive extent cache's replay state (if any)."""
-        if self.extent_cache.adaptive:
-            for k, v in self.extent_cache.export_tuning().items():
-                out[f"extent_tuning_{k}"] = v
 
     def delta_base(self) -> dict[str, np.ndarray]:
         """The lean record :meth:`export_delta` diffs against: the id
@@ -469,7 +451,6 @@ class FileStore:
                 self.extent_cache.resident_ids(), dtype=np.int64
             ),
         }
-        self._export_extent_tuning(out)
         return out, next_base
 
     def load_delta(self, delta: dict[str, np.ndarray]) -> None:
@@ -605,23 +586,13 @@ class FileStore:
         self.check_invariants()
 
     def _rewarm_extent_cache(self, state: dict[str, np.ndarray]) -> None:
-        """Restore the warm set (and, if adaptive, the tuning state).
+        """Restore the snapshot's warm set.
 
-        The tuning state loads *first* so the capacity in force during
-        the re-warm is the snapshot's — then :meth:`FileHandleCache.warm`
-        admits only the newest ``max_files`` surviving ids, so a live
-        capacity smaller than the snapshot's residency (a fixed-size
-        restore into a smaller store, or an adaptive cache that shrank)
-        can never over-warm nor spuriously count evictions.
+        :meth:`FileHandleCache.warm` admits only the newest ``max_files``
+        surviving ids, so a live capacity smaller than the snapshot's
+        residency (a restore into a store configured with a smaller
+        cache) can never over-warm nor spuriously count evictions.
         """
-        if self.extent_cache.adaptive and "extent_tuning_capacity" in state:
-            self.extent_cache.load_tuning(
-                {
-                    k[len("extent_tuning_") :]: v
-                    for k, v in state.items()
-                    if k.startswith("extent_tuning_")
-                }
-            )
         self.extent_cache.clear()
         fids = [
             int(fid)

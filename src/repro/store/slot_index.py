@@ -116,7 +116,8 @@ class SlotIndex:
     def _escape_dense(self) -> None:
         """Leave direct-address mode: migrate live entries to probing."""
         dense = self._dense
-        assert dense is not None
+        if dense is None:
+            raise RuntimeError("SlotIndex is not in direct-address mode")
         idx = np.flatnonzero(dense >= 0)
         vals = dense[idx]
         self._dense = None

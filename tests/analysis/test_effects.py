@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.effects import (
-    WINDOW_RESOURCE,
     OverlapContract,
     StageConflictError,
     check_stage_conflicts,
     find_stage_conflicts,
     may_overlap,
-    window_overlap_contracts,
 )
 from repro.core.cluster import (
     BASE_OVERLAP_CONTRACTS,
@@ -307,44 +305,3 @@ class TestDeclaredClusterStages:
         cluster.check_stage_conflicts()
         run = cluster.train_pipelined(2)
         assert len(run.stats) == 2
-
-
-class TestWindowContracts:
-    """Depth-aware sanctioning of the shared ``mem:window`` pin state."""
-
-    @pytest.mark.parametrize("depth", [1, 0, -3])
-    def test_shallow_depth_contracts_are_rejected(self, depth):
-        """The window never outlives its round at depth <= 1, so asking
-        for its overlap contracts there is a caller bug, not an empty
-        sanction."""
-        with pytest.raises(ValueError, match="depth>1"):
-            window_overlap_contracts(depth)
-
-    def test_depth2_stage_set_passes(self, tiny_spec, small_config, tmp_path):
-        config = dataclasses.replace(
-            small_config, prefetch=True, prefetch_depth=2
-        )
-        cluster = HPSCluster(tiny_spec, config, functional_batch_size=192)
-        cluster.check_stage_conflicts()
-        cluster.enable_snapshot_stage(str(tmp_path / "ckpt"))
-        cluster.check_stage_conflicts()
-
-    def test_window_contracts_are_load_bearing(self):
-        """At depth 2 the window writes are real conflicts that only the
-        depth-aware contracts excuse."""
-        effects = dict(STAGE_EFFECTS)
-        for name in ("prefetch", "train"):
-            reads, writes = effects[name]
-            effects[name] = (reads, writes | {WINDOW_RESOURCE})
-        stages = [
-            StageSpec(name, lambda ctx: 0.0, *effects[name])
-            for name in ("read", "prefetch", "prepare", "load", "train")
-        ]
-        base = BASE_OVERLAP_CONTRACTS + SNAPSHOT_OVERLAP_CONTRACTS
-        conflicts = find_stage_conflicts(stages, contracts=base)
-        assert {(c.upstream, c.downstream) for c in conflicts} == {
-            ("prefetch", "train")
-        }
-        assert all(c.resources == {WINDOW_RESOURCE} for c in conflicts)
-        sanctioned = base + window_overlap_contracts(2)
-        assert find_stage_conflicts(stages, contracts=sanctioned) == []

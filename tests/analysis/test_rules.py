@@ -14,6 +14,7 @@ from repro.analysis.rules import (
     AtomicWriteRule,
     Float64HotPathRule,
     HotLoopRule,
+    NoAssertRule,
     SeededRngRule,
     SimTimeRule,
     TypedFaultsRule,
@@ -375,6 +376,50 @@ class TestFloat64HotPathRule:
         rule = Float64HotPathRule()
         assert rule.applies_to("src/repro/hbm/allreduce.py")
         assert not rule.applies_to("src/repro/nn/optim.py")
+
+
+class TestNoAssertRule:
+    def test_bare_assert_is_flagged(self):
+        findings = _lint(
+            PLAIN,
+            """
+            def settle(rows, keys):
+                assert rows.size == keys.size, "diverged"
+                return rows
+            """,
+        )
+        (f,) = _active(findings, "no-assert")
+        assert f.line == 3
+        assert "python -O" in f.message
+
+    def test_explicit_raise_is_clean(self):
+        findings = _lint(
+            PLAIN,
+            """
+            def settle(rows, keys):
+                if rows.size != keys.size:
+                    raise RuntimeError("rows and keys diverged")
+                return rows
+            """,
+        )
+        assert _active(findings, "no-assert") == []
+
+    def test_tests_may_assert(self):
+        findings = _lint(
+            "tests/core/test_example.py",
+            """
+            def test_x():
+                assert 1 + 1 == 2
+            """,
+        )
+        assert _active(findings, "no-assert") == []
+
+    def test_scope(self):
+        rule = NoAssertRule()
+        assert rule.applies_to("src/repro/mem/mem_ps.py")
+        assert rule.applies_to("src/repro/config.py")
+        assert not rule.applies_to("tests/mem/test_mem_ps.py")
+        assert not rule.applies_to("benchmarks/test_e2e_throughput.py")
 
 
 class TestSuppressionMechanics:

@@ -9,9 +9,12 @@ import pytest
 
 from repro.ckpt.format import (
     DENSE_SHARD,
+    FORMAT_VERSION,
     MANIFEST_NAME,
     CheckpointError,
     node_shard_name,
+    read_manifest,
+    write_manifest,
 )
 from repro.config import ClusterConfig
 from repro.core.cluster import HPSCluster, RoundContext
@@ -213,6 +216,24 @@ def test_restore_rejects_uncommitted_directory(tiny_spec, small_config, tmp_path
     cluster.save_checkpoint(str(tmp_path))
     os.remove(tmp_path / MANIFEST_NAME)  # shards present, commit record gone
     with pytest.raises(CheckpointError, match="no committed checkpoint"):
+        HPSCluster.restore(str(tmp_path))
+
+
+def test_restore_rejects_previous_format_version(
+    tiny_spec, small_config, tmp_path
+):
+    """A manifest one format version back is refused with a typed error
+    before its saved config reaches ``ClusterConfig`` (a v3 config still
+    carries fields this build no longer has)."""
+    cluster = build(tiny_spec, small_config)
+    cluster.train(1)
+    cluster.save_checkpoint(str(tmp_path))
+    manifest = read_manifest(str(tmp_path))
+    manifest["format_version"] = FORMAT_VERSION - 1
+    # As in a real v3 manifest: a field this build's config lacks.
+    manifest["config"]["cluster_config"]["retired_knob"] = 1
+    write_manifest(str(tmp_path), manifest)
+    with pytest.raises(CheckpointError, match="not supported"):
         HPSCluster.restore(str(tmp_path))
 
 

@@ -155,8 +155,8 @@ class TestBackpressure:
         """A fast stage behind a slow one idles; the bottleneck never does.
 
         With a 2s stage 0 feeding a 1s stage 1, stage 1 waits 1s between
-        every pair of its 5 consecutive events — the shadow budget the
-        depth-k prefetch stage schedules its resolve work into.
+        every pair of its 5 consecutive events — capacity stage 1 could
+        absorb without extending the makespan.
         """
         stages, _ = recording_stages(np.tile([2.0, 1.0, 1.0, 1.0], (6, 1)))
         run = PipelinedEngine(stages).run(6)

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.cluster import HPSCluster
+from repro.core.cluster import HPSCluster, RoundContext
 from repro.core.trainer import ReferenceTrainer
 from repro.plan import build_round_plan
 
@@ -223,6 +223,27 @@ class TestPrefetchMechanics:
             assert node.mem_ps.cache.lru.pinned_count() == 0
             assert node.mem_ps._prefetch_plan is None
 
+    def test_abort_after_prefetch_releases_pins_and_retries_exactly(
+        self, tiny_spec, pressured_prefetch
+    ):
+        """A round aborted after its prefetch stage (the fault-recovery
+        path for a failure in prepare) releases every prefetch pin, and
+        the retried round trains bit-identically to a fault-free twin."""
+        pf = _build(tiny_spec, pressured_prefetch)
+        pf.train(2)
+        ctx = RoundContext(round_index=2)
+        pf.stage_read(ctx)
+        pf.stage_prefetch(ctx)
+        assert all(n.mem_ps.cache.pinned_count() > 0 for n in pf.nodes)
+        pf.abort_round()
+        for node in pf.nodes:
+            assert node.mem_ps.cache.pinned_count() == 0
+            assert node.mem_ps._prefetch_plan is None
+        pf.train(2)
+        twin = _build(tiny_spec, pressured_prefetch)
+        twin.train(4)
+        _assert_param_parity(pf, twin)
+
     def test_prefetch_seconds_reported_and_folded(
         self, tiny_spec, pressured_prefetch
     ):
@@ -277,57 +298,3 @@ class TestExtentCachePlumbing:
 
         with pytest.raises(ValueError, match="ssd_extent_cache_files"):
             ClusterConfig(ssd_extent_cache_files=-1)
-
-
-class TestDepthSweep:
-    """Depth-k lookahead: parameters are depth-invariant, each depth's
-    lockstep/pipelined pair is its own exact sim-seconds parity group,
-    and the bulk admission path never degrades to the per-key replay."""
-
-    @pytest.fixture
-    def depth_cfg(self, pressured_prefetch):
-        def at(k, **overrides):
-            return dataclasses.replace(
-                pressured_prefetch, prefetch_depth=k, **overrides
-            )
-
-        return at
-
-    def test_depth_sweep_parity(self, tiny_spec, depth_cfg):
-        baseline = _build(tiny_spec, depth_cfg(1))
-        stats_base = baseline.train(N_ROUNDS)
-        # The workload must exercise the SSD tier for parity to bite.
-        assert any(s.ssd_io_seconds > 0 for s in stats_base)
-        for k in (2, 3):
-            lock = _build(tiny_spec, depth_cfg(k))
-            piped = _build(tiny_spec, depth_cfg(k))
-            stats_lock = lock.train(N_ROUNDS)
-            run = piped.train_pipelined(N_ROUNDS)
-            # Lockstep and pipelined at depth k agree on *every* stats
-            # field — one sim-clock group per depth.
-            _assert_stats_parity(stats_lock, run.stats)
-            _assert_param_parity(lock, piped)
-            # Parameters (and therefore losses) are depth-invariant:
-            # lookahead is residency policy, not arithmetic.
-            _assert_param_parity(baseline, lock)
-            assert [s.mean_loss for s in stats_base] == [
-                s.mean_loss for s in stats_lock
-            ]
-
-    def test_depth1_window_is_inert(self, tiny_spec, depth_cfg):
-        """At the default depth the window machinery never engages:
-        no backoffs are ever counted."""
-        one = _build(tiny_spec, depth_cfg(1))
-        stats = one.train(N_ROUNDS)
-        assert all(s.prefetch_depth_backoffs == 0 for s in stats)
-
-    def test_pin_ceiling_backs_off_and_is_counted(self, tiny_spec, depth_cfg):
-        """A pin fraction too small for the depth-2 window forces
-        shallower rounds; the backoffs are counted and parameters stay
-        bit-identical to the unconstrained run."""
-        tight = _build(tiny_spec, depth_cfg(2, prefetch_pin_fraction=0.05))
-        loose = _build(tiny_spec, depth_cfg(2))
-        stats_tight = tight.train(N_ROUNDS)
-        loose.train(N_ROUNDS)
-        assert sum(s.prefetch_depth_backoffs for s in stats_tight) > 0
-        _assert_param_parity(tight, loose)

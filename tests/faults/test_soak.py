@@ -117,9 +117,9 @@ def twins():
 
 
 @pytest.fixture(scope="module")
-def depth2_twins():
-    """Fault-free references for the depth-2 lookahead configuration."""
-    return _twin_pair(_soak_config(prefetch=True, prefetch_depth=2))
+def prefetch_twins():
+    """Fault-free references for the prefetch-stage configuration."""
+    return _twin_pair(_soak_config(prefetch=True))
 
 
 @pytest.mark.parametrize("index", range(N_SCHEDULES))
@@ -151,27 +151,27 @@ def test_soak_recoverable_schedule_is_bit_exact(index, twins, tmp_path):
 
 
 @pytest.mark.parametrize("index", range(5))
-def test_depth2_soak_is_bit_exact(index, depth2_twins, tmp_path):
-    """Five seeded schedules against the depth-2 lookahead window.
+def test_prefetch_soak_is_bit_exact(index, prefetch_twins, tmp_path):
+    """Five seeded schedules against the prefetch stage.
 
-    Fault recovery must compose with the speculative window: an aborted
-    round drops the window and the in-flight lookahead unions, a restore
-    rebuilds them, and the run still ends bit-identical to its
-    fault-free depth-2 twin — with zero bulk-admission fallbacks."""
+    Fault recovery must compose with the round's pinned prefetch set:
+    an aborted round releases its pins and forgets the cross-round
+    union carry, a restore starts without either, and the run still
+    ends bit-identical to its fault-free prefetch twin."""
     pipelined = index % 2 == 1
     schedule = FaultSchedule(
-        derive_seed(SOAK_BASE_SEED, "depth2", index),
+        derive_seed(SOAK_BASE_SEED, "prefetch", index),
         rates=SOAK_RATES,
         max_faults=64,
     )
     supervisor = Supervisor(str(tmp_path / "sup"), checkpoint_every=2)
     run = supervisor.run(
-        depth2_twins["mk"](), N_ROUNDS, schedule, pipelined=pipelined
+        prefetch_twins["mk"](), N_ROUNDS, schedule, pipelined=pipelined
     )
 
     assert run.rounds == N_ROUNDS
-    twin = depth2_twins[pipelined]
-    probe = depth2_twins["probe"]
+    twin = prefetch_twins[pipelined]
+    probe = prefetch_twins["probe"]
     assert np.array_equal(
         run.cluster.lookup_embeddings(probe), twin.lookup_embeddings(probe)
     )

@@ -43,6 +43,17 @@ class TestSparseUpdate:
         assert u.grads.shape == (0, 3)
 
 
+def test_union_plan_size_mismatch_raises():
+    a, b = upd({1: 1.0, 2: 2.0}), upd({2: 3.0})
+    keys = np.array([1, 2], dtype=np.uint64)
+    good = [np.array([0, 1]), np.array([1])]
+    merged, _ = hierarchical_allreduce([a, b], union_plan=(keys, good))
+    assert merged.grads[:, 0].tolist() == [1.0, 5.0]
+    bad = [np.array([0, 1]), np.array([0, 1])]
+    with pytest.raises(ValueError, match="union plan"):
+        hierarchical_allreduce([a, b], union_plan=(keys, bad))
+
+
 class TestMerge:
     def test_disjoint_union(self):
         m = merge_updates(upd({1: 1.0}), upd({2: 2.0}))

@@ -203,6 +203,33 @@ class TestCombined:
         assert hit.all()
         c.unpin_batch(keys)
 
+    def test_touch_rows_counts_hits_without_probing(self):
+        c = CombinedCache(6, lru_fraction=0.5, value_dim=1)
+        keys = np.arange(3, dtype=np.uint64)
+        c.put_batch(keys, np.zeros((3, 1), np.float32), pin=True)
+        rows = c.resolve_pinned(keys)
+        hits = c.stats.hits
+        c.touch_rows(rows[:2])
+        assert c.stats.hits == hits + 2
+        c.touch_rows(rows[:0])  # empty: no-op
+        assert c.stats.hits == hits + 2
+        # Touched rows become the most recent, so once the pins are gone
+        # the untouched key (inserted last) is the LRU victim.
+        c.unpin_rows(rows)
+        c.put_batch(np.array([10], np.uint64), np.zeros((1, 1), np.float32))
+        assert [int(k) in c.lru for k in keys] == [True, True, False]
+
+    def test_unpin_rows_except_keeps_shared_pins(self):
+        c = CombinedCache(8, lru_fraction=0.5, value_dim=1)
+        keys = np.arange(4, dtype=np.uint64)
+        c.put_batch(keys, np.zeros((4, 1), np.float32), pin=True)
+        rows = c.resolve_pinned(keys)
+        c.unpin_rows_except(rows, [rows[1:2], rows[3:]])
+        assert c.pinned_count() == 2
+        assert np.array_equal(c.resolve_pinned(keys[[1, 3]]), rows[[1, 3]])
+        c.unpin_rows_except(rows, [])
+        assert c.pinned_count() == 0
+
     def test_update_if_present(self):
         c = CombinedCache(4, value_dim=1)
         c.put(1, v(1))

@@ -184,3 +184,20 @@ class TestValidation:
         owned_by_b = keys[~a.owns(keys)]
         with pytest.raises(ValueError):
             a.serve_remote(owned_by_b)
+
+    def test_planned_prepare_rejects_duplicate_keys(self):
+        m = make_mem()
+        with pytest.raises(ValueError, match="must be unique"):
+            m.prepare(keys_of([4, 4, 5]), plan=object())
+
+    def test_remote_pull_diverging_from_prefetch_plan_raises(self):
+        from types import SimpleNamespace
+
+        a, _ = make_pair()
+        a._prefetch_plan = SimpleNamespace(
+            keys=keys_of([2, 6]),
+            rows=np.array([0, 1]),
+            serve_pos={1: np.array([0])},
+        )
+        with pytest.raises(RuntimeError, match="diverged"):
+            a.serve_remote(keys_of([6]), pre_owned=True, requester=1)

@@ -70,6 +70,12 @@ class TestBasics:
         assert dict(zip(ks.tolist(), vs.tolist())) == {1: 10, 2: 20, 3: 30}
 
 
+    def test_escape_dense_outside_dense_mode_raises(self):
+        idx = SlotIndex()
+        with pytest.raises(RuntimeError, match="direct-address"):
+            idx._escape_dense()
+
+
 class TestScalarPaths:
     def test_scalar_and_batch_agree(self):
         idx = SlotIndex()
